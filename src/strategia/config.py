@@ -172,9 +172,11 @@ def _validate_sections(cfg: RunConfig) -> None:
             for t in targets:
                 _expect(t in valid, "vc.targets", f"unknown target {t!r}; valid: {sorted(valid)}")
         if "cap" in cfg.vc_section:
-            _expect_int(cfg.vc_section["cap"], "vc.cap")
+            cap = _expect_int(cfg.vc_section["cap"], "vc.cap")
+            _expect(cap >= 0, "vc.cap", "must be >= 0")
         if "ground_limit" in cfg.vc_section:
-            _expect_int(cfg.vc_section["ground_limit"], "vc.ground_limit")
+            limit = _expect_int(cfg.vc_section["ground_limit"], "vc.ground_limit")
+            _expect(limit >= 1, "vc.ground_limit", "must be >= 1")
     if cfg.experiment_section:
         _reject_unknown(cfg.experiment_section, {"name", "params"}, "experiment")
         _expect("name" in cfg.experiment_section, "experiment", "missing required key 'name'")

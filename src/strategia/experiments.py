@@ -1,10 +1,10 @@
 """Named experiments, evaluation tables, and their pass/fail checks.
 
 Every experiment returns a ResultTable (the CSV payload) plus a list of
-CheckResults. Monte Carlo experiments decompose into independent units that
-are mapped over a process pool in a fixed order, with every unit's seed
-derived from the master seed and a global unit or trial index, so the output
-is byte for byte identical regardless of the worker count.
+CheckResults. Monte Carlo experiments map one kernel over a list of items,
+each carrying one seed derived from the master seed and a global trial
+index, and collect the results in item order, so the output is byte for
+byte identical regardless of the worker count.
 
 The canonical-instance experiments (example1, example2, obs1, thm3, thm4,
 thm5) construct their own scenarios; graph-learn and uniform-conv run on the
@@ -17,21 +17,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .config import build_scenario
-from .domain import (
-    FiniteDomain,
-    Hypothesis,
-    HypothesisClass,
-    LabeledDistribution,
-    ManipulationGraph,
-)
+from .domain import Hypothesis
 from .errors import ConfigError, UndefinedBurdenError
 from .graphdist import (
-    GraphSample,
     draw_graph_sample,
     empirical_sample_distance,
     graph_erm,
@@ -39,7 +33,7 @@ from .graphdist import (
     read_graph_sample,
     surrogate_bounds,
 )
-from .learners import draw_sample, erm, ic_erm, singleton_learner, trial_seed
+from .learners import draw_sample, erm, ic_erm, inverse_cdf, singleton_learner, trial_seed
 from .losses import (
     LossKind,
     class_component_matrix,
@@ -88,7 +82,8 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def _merge_params(name: str, params: Optional[dict], defaults: dict) -> dict:
+def _merge_params(name: str, params: Optional[dict], defaults: dict, trials: Optional[int]) -> dict:
+    """Defaults overridden by params, then by ``trials``; checked before any work."""
     params = dict(params or {})
     unknown = set(params) - set(defaults)
     if unknown:
@@ -98,16 +93,31 @@ def _merge_params(name: str, params: Optional[dict], defaults: dict) -> dict:
         )
     merged = dict(defaults)
     merged.update(params)
+    if trials is not None:
+        if "trials" in merged:
+            merged["trials"] = int(trials)
+        elif "draws" in merged:
+            merged["draws"] = int(trials)
+    for key in ("trials", "draws", "instances"):
+        if key in merged and int(merged[key]) < 1:
+            raise ConfigError(f"experiment.params.{key}: must be >= 1, got {merged[key]!r}")
+    for key in ("eps_values", "n_grid"):
+        if key in merged and len(merged[key]) == 0:
+            raise ConfigError(f"experiment.params.{key}: must be a nonempty list")
     return merged
 
 
-def _run_units(fn: Callable, units: Sequence, workers: int) -> list:
-    """Map units over a process pool, preserving input order."""
-    if workers <= 1 or len(units) <= 1:
-        return [fn(u) for u in units]
+def _run_seeded(kernel: Callable, shared, items: Sequence, workers: int) -> list:
+    """Return kernel(shared, item) for every item, in item order.
+
+    Each item carries its own seed, so how the items are split over the
+    process pool never changes a result.
+    """
+    if workers <= 1 or len(items) <= 1:
+        return [kernel(shared, item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        chunk = max(1, math.ceil(len(units) / (4 * workers)))
-        return list(ex.map(fn, units, chunksize=chunk))
+        chunk = max(1, math.ceil(len(items) / (4 * workers)))
+        return list(ex.map(partial(kernel, shared), items, chunksize=chunk))
 
 
 def describe_hypothesis(h: Hypothesis) -> str:
@@ -430,30 +440,10 @@ def _exp_obs1(spec, params, seed, workers) -> ExperimentResult:
 # thm3: sample complexity of the singleton learner
 
 
-@dataclass(eq=False)
-class _Thm3Unit:
-    weights: np.ndarray
-    adj: np.ndarray
-    targets: tuple
-    eps: float
-    n: int
-    master: int
-    t0: int
-    count: int
-
-
-def _thm3_unit_run(unit: _Thm3Unit) -> int:
-    P = LabeledDistribution(unit.weights)
-    domain = FiniteDomain(unit.weights.shape[0])
-    graph = ManipulationGraph.from_adjacency(domain, unit.adj)
-    kind = LossKind.strategic(graph)
-    fails = 0
-    for t in range(unit.t0, unit.t0 + unit.count):
-        S = draw_sample(P, unit.n, trial_seed(unit.master, t))
-        learned = singleton_learner(S, unit.targets)
-        if expected_loss(kind, learned, P) > unit.eps:
-            fails += 1
-    return fails
+def _thm3_trial(shared, t: int) -> bool:
+    P, kind, targets, eps, n, master = shared
+    learned = singleton_learner(draw_sample(P, n, trial_seed(master, t)), targets)
+    return expected_loss(kind, learned, P) > eps
 
 
 def _exp_thm3(spec, params, seed, workers) -> ExperimentResult:
@@ -466,8 +456,8 @@ def _exp_thm3(spec, params, seed, workers) -> ExperimentResult:
     delta = float(params["delta"])
     slack = int(params["slack"])
     trials = int(params["trials"])
-    block = int(params["block"])
     sc = gen_obs1(d)
+    kind = LossKind.strategic(sc.graph)
     targets = tuple(range(d, d + (1 << d)))
     table = ResultTable(
         ("eps", "delta", "n", "exact_failure_prob", "observed_failure_rate", "trials")
@@ -477,22 +467,9 @@ def _exp_thm3(spec, params, seed, workers) -> ExperimentResult:
         P = obs1_distribution(d, target_j, eps)
         n = math.ceil(math.log(1.0 / delta) / (2.0 * eps)) + slack
         exact = (1.0 - 2.0 * eps) ** n
-        units = []
-        t0 = ei * trials
-        for start in range(0, trials, block):
-            units.append(
-                _Thm3Unit(
-                    weights=P.weights,
-                    adj=sc.graph.adj,
-                    targets=targets,
-                    eps=eps,
-                    n=n,
-                    master=seed,
-                    t0=t0 + start,
-                    count=min(block, trials - start),
-                )
-            )
-        fails = sum(_run_units(_thm3_unit_run, units, workers))
+        shared = (P, kind, targets, eps, n, seed)
+        trial_ids = range(ei * trials, (ei + 1) * trials)
+        fails = sum(_run_seeded(_thm3_trial, shared, trial_ids, workers))
         rate = fails / trials
         table.append(eps, delta, n, exact, rate, trials)
         checks.append(
@@ -516,27 +493,18 @@ def _exp_thm3(spec, params, seed, workers) -> ExperimentResult:
 # thm4: strategic ERM converges on instances with bounded combined dimension
 
 
-@dataclass(eq=False)
-class _ErmUnit:
-    tables: np.ndarray  # (members, 2 * points) int64 pointwise losses
-    expected: np.ndarray  # (members,) exact expected strategic losses
-    opt: float
-    cum: np.ndarray  # cumulative cell weights
-    n: int
-    trials: int
-    unit_seed: int
-
-
-def _thm4_unit_run(unit: _ErmUnit) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(unit.unit_seed))
-    n_cells = unit.cum.shape[0]
-    u = rng.random((unit.trials, unit.n))
-    idx = np.minimum(np.searchsorted(unit.cum, u.ravel(), side="right"), n_cells - 1)
-    flat = np.repeat(np.arange(unit.trials, dtype=np.int64), unit.n) * n_cells + idx
-    counts = np.bincount(flat, minlength=unit.trials * n_cells).reshape(unit.trials, n_cells)
-    hits = counts @ unit.tables.T
-    picks = hits.argmin(axis=1)  # lowest index on ties, same rule as erm()
-    return unit.expected[picks] - unit.opt
+def _thm4_erm_excess(shared, item) -> np.ndarray:
+    """Excess true loss of strategic ERM in `trials` samples of size n from one
+    instance; shared[instance] is (int64 loss tables, expected losses, cum)."""
+    instance, n, trials, unit_seed = item
+    tables, expected, cum = shared[instance]
+    rng = np.random.Generator(np.random.PCG64(unit_seed))
+    n_cells = cum.shape[0]
+    idx = inverse_cdf(cum, rng.random((trials, n)).ravel())
+    flat = np.repeat(np.arange(trials, dtype=np.int64), n) * n_cells + idx
+    counts = np.bincount(flat, minlength=trials * n_cells).reshape(trials, n_cells)
+    picks = (counts @ tables.T).argmin(axis=1)  # lowest index on ties, same rule as erm()
+    return expected[picks] - expected.min()
 
 
 def _thm4_instances(params, seed) -> list[Scenario]:
@@ -572,34 +540,25 @@ def _exp_thm4(spec, params, seed, workers) -> ExperimentResult:
     instances = _thm4_instances(params, seed)
     n_grid = [int(v) for v in params["n_grid"]]
     trials = int(params["trials"])
-    units = []
+    shared = []
+    items = []
     for inst_i, sc in enumerate(instances):
         strategic = LossKind.strategic(sc.graph)
         tables = np.stack(
             [loss_table(strategic, h).ravel().astype(np.int64) for h in sc.hclass]
         )
         expected = np.array([expected_loss(strategic, h, sc.dist) for h in sc.hclass])
-        cum = np.cumsum(sc.dist.weights.ravel())
+        shared.append((tables, expected, np.cumsum(sc.dist.weights.ravel())))
         for n_i, n in enumerate(n_grid):
-            unit_index = inst_i * len(n_grid) + n_i
-            units.append(
-                _ErmUnit(
-                    tables=tables,
-                    expected=expected,
-                    opt=float(expected.min()),
-                    cum=cum,
-                    n=n,
-                    trials=trials,
-                    unit_seed=trial_seed(seed, _THM4_UNIT_BASE + unit_index),
-                )
-            )
-    results = _run_units(_thm4_unit_run, units, workers)
+            unit_seed = trial_seed(seed, _THM4_UNIT_BASE + inst_i * len(n_grid) + n_i)
+            items.append((inst_i, n, trials, unit_seed))
+    results = _run_seeded(_thm4_erm_excess, shared, items, workers)
     table = ResultTable(
         ("n", "median_excess", "mean_excess", "max_excess", "instances", "trials")
     )
     medians = []
     for n_i, n in enumerate(n_grid):
-        pooled = np.concatenate([results[i] for i in range(len(units)) if i % len(n_grid) == n_i])
+        pooled = np.concatenate(results[n_i :: len(n_grid)])
         med = float(np.median(pooled))
         medians.append(med)
         table.append(n, med, float(pooled.mean()), float(pooled.max()), len(instances), trials)
@@ -624,6 +583,20 @@ def _exp_thm4(spec, params, seed, workers) -> ExperimentResult:
 # thm5: the loss-transfer chain on random instances
 
 
+def _thm5_draw(shared, k: int) -> tuple:
+    """One table row: the surrogate chain of member k on random instance k."""
+    n_points, n_hypotheses, density, master = shared
+    sc = gen_random(n_points, n_hypotheses, density,
+                    seed=trial_seed(master, _THM5_BASE + k), n_graphs=1)
+    h_i = k % len(sc.hclass)
+    rep = surrogate_bounds(sc.hclass[h_i], sc.graph, sc.graph2, sc.hclass, sc.dist)
+    return (
+        k, h_i, rep.true_strategic, rep.binary, rep.surrogate_component,
+        rep.surrogate_strategic, rep.distance, rep.upper1, rep.upper2,
+        rep.lower, rep.lower_tight, rep.min_slack(),
+    )
+
+
 def _exp_thm5(spec, params, seed, workers) -> ExperimentResult:
     """Evaluate the surrogate chain on seeded random instances. Construction
     already validates lower <= true <= upper1 <= upper2; the check records
@@ -634,24 +607,11 @@ def _exp_thm5(spec, params, seed, workers) -> ExperimentResult:
          "surrogate_strategic", "distance", "upper1", "upper2", "lower",
          "lower_tight", "min_slack")
     )
-    worst = math.inf
-    for k in range(draws):
-        sc = gen_random(
-            n_points=int(params["n_points"]),
-            n_hypotheses=int(params["n_hypotheses"]),
-            density=float(params["density"]),
-            seed=trial_seed(seed, _THM5_BASE + k),
-            n_graphs=1,
-        )
-        h_i = k % len(sc.hclass)
-        rep = surrogate_bounds(sc.hclass[h_i], sc.graph, sc.graph2, sc.hclass, sc.dist)
-        slack = rep.min_slack()
-        worst = min(worst, slack)
-        table.append(
-            k, h_i, rep.true_strategic, rep.binary, rep.surrogate_component,
-            rep.surrogate_strategic, rep.distance, rep.upper1, rep.upper2,
-            rep.lower, rep.lower_tight, slack,
-        )
+    shared = (int(params["n_points"]), int(params["n_hypotheses"]), float(params["density"]), seed)
+    rows = _run_seeded(_thm5_draw, shared, range(draws), workers)
+    for row in rows:
+        table.append(*row)
+    worst = min(row[-1] for row in rows)
     tol = float(params["slack_tol"])
     checks = [
         _check(
@@ -691,7 +651,12 @@ def _exp_graph_learn(spec, params, seed, workers) -> ExperimentResult:
     marginal = P.marginal()
     sample_file = params["sample_file"]
     if sample_file:
-        S = read_graph_sample(sample_file, sc.domain.size)
+        try:
+            S = read_graph_sample(sample_file, sc.domain.size)
+        except OSError as e:
+            raise ConfigError(f"graph_learn.sample_file: {sample_file}: {e.strerror}") from e
+        except ValueError as e:
+            raise ConfigError(f"graph_learn.sample_file: {e}") from e
         source = str(sample_file)
     else:
         S = draw_graph_sample(marginal, truth, int(params["sample_size"]), trial_seed(seed, 0))
@@ -741,34 +706,17 @@ def _exp_graph_learn(spec, params, seed, workers) -> ExperimentResult:
 # uniform-conv: empirical distances concentrate at the Monte Carlo rate
 
 
-@dataclass(eq=False)
-class _UcUnit:
-    diff: np.ndarray  # (candidates * members, points) int64 component mismatches
-    true_d: np.ndarray  # (candidates,)
-    cum: np.ndarray
-    n_points: int
-    n_candidates: int
-    n_members: int
-    n: int
-    master: int
-    t0: int
-    count: int
-    margin: float
-
-
-def _uc_unit_run(unit: _UcUnit) -> tuple[np.ndarray, np.ndarray]:
-    devs = np.empty(unit.count)
-    covered = np.empty(unit.count, dtype=bool)
-    for j in range(unit.count):
-        rng = np.random.Generator(np.random.PCG64(trial_seed(unit.master, unit.t0 + j)))
-        u = rng.random(unit.n)
-        xs = np.minimum(np.searchsorted(unit.cum, u, side="right"), unit.n_points - 1)
-        counts = np.bincount(xs, minlength=unit.n_points)
-        per = (unit.diff @ counts).reshape(unit.n_candidates, unit.n_members).max(axis=1) / unit.n
-        devs[j] = float(np.abs(unit.true_d - per).max())
-        li = int(per.argmin())  # lowest index on ties, same rule as graph_erm()
-        covered[j] = unit.true_d[li] < per[li] + unit.margin
-    return devs, covered
+def _uc_trial(shared, item) -> tuple[float, bool]:
+    """Largest true-vs-empirical distance gap in one sample of size n, and
+    whether the selected candidate is within the margin. diff is the
+    (candidates * members, points) int64 component mismatch matrix."""
+    diff, true_d, cum, margin, master = shared
+    n, t = item
+    rng = np.random.Generator(np.random.PCG64(trial_seed(master, t)))
+    counts = np.bincount(inverse_cdf(cum, rng.random(n)), minlength=cum.shape[0])
+    per = (diff @ counts).reshape(true_d.shape[0], -1).max(axis=1) / n
+    li = int(per.argmin())  # lowest index on ties, same rule as graph_erm()
+    return float(np.abs(true_d - per).max()), bool(true_d[li] < per[li] + margin)
 
 
 def _exp_uniform_conv(spec, params, seed, workers) -> ExperimentResult:
@@ -785,7 +733,6 @@ def _exp_uniform_conv(spec, params, seed, workers) -> ExperimentResult:
     _require_candidates(sc)
     H, truth, G = sc.hclass, sc.graph, sc.graph_class
     marginal = sc.dist.marginal()
-    cum = np.cumsum(marginal)
     comp_truth = class_component_matrix(H, truth)
     diffs = []
     true_d = []
@@ -793,39 +740,16 @@ def _exp_uniform_conv(spec, params, seed, workers) -> ExperimentResult:
         comp_g = class_component_matrix(H, g)
         diffs.append((comp_truth != comp_g).astype(np.int64))
         true_d.append(hpx_distance(truth, g, H, marginal))
-    diff = np.concatenate(diffs, axis=0)
-    true_arr = np.asarray(true_d)
     n_grid = [int(v) for v in params["n_grid"]]
     trials = int(params["trials"])
-    block = int(params["block"])
     margin = float(params["coverage_margin"])
-    units = []
-    for n_i, n in enumerate(n_grid):
-        t0 = _UC_BASE + n_i * trials
-        for start in range(0, trials, block):
-            units.append(
-                _UcUnit(
-                    diff=diff,
-                    true_d=true_arr,
-                    cum=cum,
-                    n_points=sc.domain.size,
-                    n_candidates=len(G),
-                    n_members=len(H),
-                    n=n,
-                    master=seed,
-                    t0=t0 + start,
-                    count=min(block, trials - start),
-                    margin=margin,
-                )
-            )
-    results = _run_units(_uc_unit_run, units, workers)
-    per_n_devs: list[np.ndarray] = []
-    per_n_cov: list[np.ndarray] = []
-    blocks_per_n = math.ceil(trials / block)
-    for n_i in range(len(n_grid)):
-        chunk = results[n_i * blocks_per_n : (n_i + 1) * blocks_per_n]
-        per_n_devs.append(np.concatenate([c[0] for c in chunk]))
-        per_n_cov.append(np.concatenate([c[1] for c in chunk]))
+    shared = (np.concatenate(diffs, axis=0), np.asarray(true_d), np.cumsum(marginal), margin, seed)
+    items = [
+        (n, _UC_BASE + n_i * trials + j) for n_i, n in enumerate(n_grid) for j in range(trials)
+    ]
+    results = _run_seeded(_uc_trial, shared, items, workers)
+    per_n_devs = np.array([r[0] for r in results]).reshape(len(n_grid), trials)
+    per_n_cov = np.array([r[1] for r in results]).reshape(len(n_grid), trials)
     table = ResultTable(("n", "median_deviation", "mean_deviation", "coverage", "trials"))
     medians = []
     for n_i, n in enumerate(n_grid):
@@ -872,7 +796,7 @@ _REGISTRY: dict[str, tuple[dict, Callable]] = {
     "obs1": ({"d_values": [2, 3], "cap": 5}, _exp_obs1),
     "thm3": (
         {"eps_values": [0.05, 0.1], "delta": 0.1, "slack": 2, "d": 3, "target_j": 1,
-         "trials": 2000, "block": 250},
+         "trials": 2000},
         _exp_thm3,
     ),
     "thm4": (
@@ -891,7 +815,7 @@ _REGISTRY: dict[str, tuple[dict, Callable]] = {
         _exp_graph_learn,
     ),
     "uniform-conv": (
-        {"n_grid": [50, 200, 800, 3200], "trials": 200, "block": 50,
+        {"n_grid": [50, 200, 800, 3200], "trials": 200,
          "ratio_low": 1.4, "ratio_high": 2.8, "coverage_margin": 0.1,
          "coverage_frac": 0.9},
         _exp_uniform_conv,
@@ -922,10 +846,4 @@ def run_experiment(
             f"unknown experiment {name!r}; available: {available_experiments()}"
         )
     defaults, fn = _REGISTRY[name]
-    merged = _merge_params(name, params, defaults)
-    if trials is not None:
-        if "trials" in merged:
-            merged["trials"] = int(trials)
-        elif "draws" in merged:
-            merged["draws"] = int(trials)
-    return fn(scenario_spec, merged, int(seed), int(workers))
+    return fn(scenario_spec, _merge_params(name, params, defaults, trials), int(seed), int(workers))

@@ -39,8 +39,19 @@ from .losses import (
     component_vector,
     expected_loss,
 )
+from .learners import inverse_cdf
 
 BOUND_TOL = 1e-12
+
+
+def _check_record(x: int, bs: frozenset, n_points: int) -> None:
+    if not 0 <= x < n_points:
+        raise ValueError(f"point index {x} out of range")
+    for v in bs:
+        if not 0 <= v < n_points:
+            raise ValueError(f"target index {v} out of range")
+    if x in bs:
+        raise ValueError(f"observed target set of point {x} contains the point itself")
 
 
 class GraphSample:
@@ -50,16 +61,10 @@ class GraphSample:
         xa = np.asarray(xs, dtype=np.int64)
         if xa.ndim != 1 or xa.size != len(bsets):
             raise ValueError("xs and bsets must be equal-length 1-d sequences")
-        if xa.size and (xa.min() < 0 or xa.max() >= n_points):
-            raise ValueError("point index out of range")
         frozen = []
         for x, b in zip(xa, bsets):
             bs = frozenset(int(v) for v in b)
-            for v in bs:
-                if not 0 <= v < n_points:
-                    raise ValueError(f"target index {v} out of range")
-            if int(x) in bs:
-                raise ValueError(f"observed target set of point {int(x)} contains the point itself")
+            _check_record(int(x), bs, n_points)
             frozen.append(bs)
         xa.setflags(write=False)
         self.xs = xa
@@ -88,10 +93,8 @@ def draw_graph_sample(
     total = float(m.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"marginal sums to {total!r}, expected 1")
-    cum = np.cumsum(m)
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(n)
-    xs = np.minimum(np.searchsorted(cum, u, side="right"), graph.size - 1)
+    xs = inverse_cdf(np.cumsum(m), rng.random(n))
     nsets = graph.neighbor_sets()
     return GraphSample(xs, [nsets[int(x)] for x in xs], n_points=graph.size)
 
@@ -103,6 +106,7 @@ def write_graph_sample(sample: GraphSample, path) -> None:
 
 
 def read_graph_sample(path, n_points: int) -> GraphSample:
+    """Read a sample file; a malformed line raises ValueError("path:line: ...")."""
     xs: list[int] = []
     bsets: list[frozenset] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -110,12 +114,18 @@ def read_graph_sample(path, n_points: int) -> GraphSample:
             line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields")
-            xs.append(int(parts[0]))
-            field = parts[1].strip()
-            bsets.append(frozenset(int(v) for v in field.split(",")) if field else frozenset())
+            try:
+                parts = line.split("\t")
+                if len(parts) != 2:
+                    raise ValueError("expected 2 tab-separated fields")
+                x = int(parts[0])
+                field = parts[1].strip()
+                bs = frozenset(int(v) for v in field.split(",")) if field else frozenset()
+                _check_record(x, bs, n_points)
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: {e}") from e
+            xs.append(x)
+            bsets.append(bs)
     return GraphSample(np.asarray(xs, dtype=np.int64), bsets, n_points=n_points)
 
 

@@ -51,6 +51,13 @@ def trial_seed(master_seed: int, t: int) -> int:
     return (int(master_seed) & _MASK64) ^ splitmix64(t)
 
 
+def inverse_cdf(cum: np.ndarray, u) -> np.ndarray:
+    """Cell index of each uniform in u under the cumulative weights cum. A u
+    at or above cum[-1], which rounding allows, maps to the last cell of
+    positive weight, never to a trailing cell of zero weight."""
+    return np.minimum(np.searchsorted(cum, u, side="right"), np.searchsorted(cum, cum[-1]))
+
+
 def draw_sample(P: LabeledDistribution, n: int, seed: int) -> LabeledSample:
     """n iid draws from P via inverse CDF over the fixed (point, label) cell order.
 
@@ -59,12 +66,8 @@ def draw_sample(P: LabeledDistribution, n: int, seed: int) -> LabeledSample:
     """
     if n < 0:
         raise ValueError("sample size must be nonnegative")
-    flat = P.weights.ravel()
-    cum = np.cumsum(flat)
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(n)
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, flat.size - 1)
+    idx = inverse_cdf(np.cumsum(P.weights.ravel()), rng.random(n))
     return LabeledSample(idx >> 1, idx & 1, n_points=P.size)
 
 

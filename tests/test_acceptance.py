@@ -390,7 +390,7 @@ class TestCriterion12:
                 "singleton-rates.json": {
                     "experiment": {
                         "name": "thm3",
-                        "params": {"eps_values": [0.1], "block": 50, "d": 2,
+                        "params": {"eps_values": [0.1], "d": 2,
                                    "trials": 400},
                     },
                     "seed": 7,
@@ -401,7 +401,7 @@ class TestCriterion12:
                                             "density": 0.3, "n_graphs": 3}},
                     "experiment": {
                         "name": "uniform-conv",
-                        "params": {"n_grid": [20, 80], "trials": 40, "block": 10},
+                        "params": {"n_grid": [20, 80], "trials": 40},
                     },
                     "seed": 7,
                 },

@@ -253,7 +253,7 @@ class TestCliExperiment:
                              "params": {"n_points": 6, "n_hypotheses": 4,
                                         "density": 0.3, "n_graphs": 3}},
                 "experiment": {"name": "uniform-conv",
-                               "params": {"n_grid": [20, 80], "trials": 10, "block": 5,
+                               "params": {"n_grid": [20, 80], "trials": 10,
                                           "ratio_low": 10.0, "ratio_high": 11.0}},
                 "seed": 3,
             },
@@ -303,6 +303,69 @@ class TestCliErrors:
         assert main(["vc", "--config", path]) == 1
         err = capsys.readouterr().err
         assert "ground_limit" in err and err.startswith("error:")
+
+
+def assert_one_config_error(capsys, rc, prefix="config error:"):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(prefix), err
+
+
+SMALL_GRAPH_SCENARIO = {"generator": "random",
+                        "params": {"n_points": 6, "n_hypotheses": 4,
+                                   "density": 0.3, "n_graphs": 3}}
+
+
+class TestCliBadParameters:
+    @pytest.mark.parametrize("name, params", [
+        ("thm3", {"trials": 0}),
+        ("thm3", {"eps_values": []}),
+        ("thm3", {"block": 0}),
+        ("thm4", {"trials": 0}),
+        ("thm4", {"n_grid": []}),
+        ("thm4", {"instances": 0}),
+        ("thm5", {"draws": 0}),
+        ("uniform-conv", {"trials": 0}),
+        ("uniform-conv", {"n_grid": []}),
+        ("uniform-conv", {"block": 0}),
+    ])
+    def test_monte_carlo_param_exits_2(self, tmp_path, capsys, name, params):
+        path = write_config(tmp_path, {"experiment": {"name": name, "params": params}})
+        assert_one_config_error(capsys, main(["experiment", "--config", path]))
+
+    @pytest.mark.parametrize("vc", [{"cap": -1}, {"ground_limit": 0}])
+    def test_vc_bound_exits_2(self, tmp_path, capsys, vc):
+        path = write_config(tmp_path, {"scenario": EXAMPLE2_SPEC, "vc": vc})
+        key = next(iter(vc))
+        assert_one_config_error(
+            capsys, main(["vc", "--config", path]), f"config error: vc.{key}: must be >="
+        )
+
+    @pytest.mark.parametrize("text, where", [
+        ("0\t1\nx\t2\n", ":2: invalid literal"),
+        ("0\t1\t2\n", ":1: expected 2 tab-separated fields"),
+        ("0\t1\n\n9\t1\n", ":3: point index 9 out of range"),
+        ("0\t7\n", ":1: target index 7 out of range"),
+    ])
+    def test_malformed_sample_file_exits_2_with_position(self, tmp_path, capsys, text, where):
+        sample = tmp_path / "sample.tsv"
+        sample.write_text(text, encoding="utf-8")
+        path = write_config(tmp_path, {"scenario": SMALL_GRAPH_SCENARIO,
+                                       "graph_learn": {"sample_file": str(sample)}})
+        assert_one_config_error(
+            capsys, main(["graph-learn", "--config", path]),
+            f"config error: graph_learn.sample_file: {sample}{where}",
+        )
+
+    def test_missing_sample_file_exits_2(self, tmp_path, capsys):
+        sample = tmp_path / "absent.tsv"
+        path = write_config(tmp_path, {"scenario": SMALL_GRAPH_SCENARIO,
+                                       "graph_learn": {"sample_file": str(sample)}})
+        assert_one_config_error(
+            capsys, main(["graph-learn", "--config", path]),
+            f"config error: graph_learn.sample_file: {sample}: No such file",
+        )
 
 
 class TestCliChainExample:

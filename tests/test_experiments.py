@@ -1,5 +1,7 @@
 """Tests for the experiment registry, evaluation tables, and VC tables."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -150,7 +152,7 @@ class TestRegistry:
     def test_trials_override_maps_to_trials(self):
         res = run_experiment(
             "thm3",
-            params={"eps_values": [0.1], "block": 10, "d": 2},
+            params={"eps_values": [0.1], "d": 2},
             trials=30,
             seed=3,
         )
@@ -194,7 +196,7 @@ class TestExperimentChecks:
 
 class TestDeterminism:
     def test_thm3_worker_count_does_not_change_csv(self):
-        kw = dict(params={"eps_values": [0.1], "block": 10, "d": 2}, trials=40, seed=7)
+        kw = dict(params={"eps_values": [0.1], "d": 2}, trials=40, seed=7)
         a = run_experiment("thm3", workers=1, **kw)
         b = run_experiment("thm3", workers=2, **kw)
         assert a.table.to_csv_text() == b.table.to_csv_text()
@@ -211,11 +213,17 @@ class TestDeterminism:
 
     def test_uniform_conv_worker_count_does_not_change_csv(self):
         kw = dict(
-            params={"n_grid": [20, 80], "trials": 20, "block": 5},
+            params={"n_grid": [20, 80], "trials": 20},
             seed=9,
         )
         a = run_experiment("uniform-conv", workers=1, **kw)
         b = run_experiment("uniform-conv", workers=2, **kw)
+        assert a.table.to_csv_text() == b.table.to_csv_text()
+
+    def test_thm5_worker_count_does_not_change_csv(self):
+        kw = dict(params={"draws": 9, "n_points": 5, "n_hypotheses": 4}, seed=17)
+        a = run_experiment("thm5", workers=1, **kw)
+        b = run_experiment("thm5", workers=2, **kw)
         assert a.table.to_csv_text() == b.table.to_csv_text()
 
     def test_same_seed_same_bytes_across_runs(self):
@@ -224,3 +232,36 @@ class TestDeterminism:
             run_experiment("thm5", **kw).table.to_csv_text()
             == run_experiment("thm5", **kw).table.to_csv_text()
         )
+
+
+# sha256 of each Monte Carlo experiment's CSV on a small configuration. The
+# digests were recorded before the experiments moved to one per-seed runner;
+# any change to seeds, draw order or formatting shows up here.
+GOLDEN_CSV_SHA256 = {
+    "thm3": (
+        dict(params={"eps_values": [0.1], "d": 2, "trials": 60}, seed=7),
+        "5e661f689cf02d44807b002123f7bb043695d6cc086af2cd0041f6226f8b4dce",
+    ),
+    "thm4": (
+        dict(params={"instances": 3, "n_points": 6, "n_hypotheses": 4,
+                     "n_grid": [10, 40], "trials": 20}, seed=5),
+        "b063e8d1cdea01cd17b605c3d0e657aaf4438dba0df60f1e4578c40428f35c31",
+    ),
+    "thm5": (
+        dict(params={"draws": 12, "n_points": 6, "n_hypotheses": 4}, seed=11),
+        "bdb7adc07a2e0c2a65f93edb10243aee30cc8ef3a416b3fbbb96c34933bbc8ed",
+    ),
+    "uniform-conv": (
+        dict(params={"n_grid": [20, 80], "trials": 20}, seed=9),
+        "16996097005be989d135175cf89486e14cca07873ec9b35e2749dc062b8a8133",
+    ),
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
+    def test_csv_bytes_are_pinned(self, name, workers):
+        kw, digest = GOLDEN_CSV_SHA256[name]
+        csv = run_experiment(name, workers=workers, **kw).table.to_csv_text()
+        assert hashlib.sha256(csv.encode()).hexdigest() == digest

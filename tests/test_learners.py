@@ -28,6 +28,7 @@ from strategia import (
     splitmix64,
     trial_seed,
 )
+from strategia.learners import inverse_cdf
 from strategia.losses import effective_hypothesis
 from strategia import oracles
 
@@ -101,6 +102,14 @@ class TestDrawSample:
         P = LabeledDistribution([[1.0, 0.0]])
         with pytest.raises(ValueError):
             draw_sample(P, -1, seed=0)
+
+
+class TestInverseCdf:
+    def test_never_lands_on_trailing_zero_weight_cells(self):
+        """A uniform at or past the total maps to the last positive cell."""
+        cum = np.cumsum([0.0, 0.25, 0.0, 0.75, 0.0, 0.0])
+        u = np.array([0.0, 0.2, 0.25, 0.9, cum[-1], np.nextafter(cum[-1], 2.0)])
+        assert inverse_cdf(cum, u).tolist() == [1, 1, 3, 3, 3, 3]
 
 
 class TestErm:
