@@ -45,6 +45,14 @@ class CapacityError(StrategiaError, ValueError):
     """Brute-force search was asked to exceed its configured size caps."""
 
 
+class VcInputError(StrategiaError, ValueError):
+    """A set system, shattering candidate or VC cap is out of range."""
+
+
+class InvalidGraphSampleError(StrategiaError, ValueError):
+    """A graph sample record or sample-file line is malformed, out of range, or self-targeting."""
+
+
 class NotInClassError(StrategiaError, ValueError):
     """A hypothesis was required to be a member of the supplied class but is not."""
 

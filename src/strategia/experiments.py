@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import build_scenario
+from .config import _expect, _expect_int, _expect_number, _expect_str, _type_name, build_scenario
 from .domain import Hypothesis
 from .errors import ConfigError, UndefinedBurdenError
 from .graphdist import (
@@ -82,6 +82,23 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
+def _check_param_type(path: str, value, default) -> None:
+    """A given param must have the type of its default: an int, a float (an
+    int is accepted), a list of the same kind of number, or a string where
+    the default is None."""
+    if isinstance(default, list):
+        _expect(isinstance(value, list), path, f"expected a list, got {_type_name(value)}")
+        check = _expect_int if all(isinstance(v, int) for v in default) else _expect_number
+        for i, v in enumerate(value):
+            check(v, f"{path}[{i}]")
+    elif isinstance(default, int):
+        _expect_int(value, path)
+    elif isinstance(default, float):
+        _expect_number(value, path)
+    elif value is not None:
+        _expect_str(value, path)
+
+
 def _merge_params(name: str, params: Optional[dict], defaults: dict, trials: Optional[int]) -> dict:
     """Defaults overridden by params, then by ``trials``; checked before any work."""
     params = dict(params or {})
@@ -91,6 +108,8 @@ def _merge_params(name: str, params: Optional[dict], defaults: dict, trials: Opt
             f"experiment.params: unknown key(s) {sorted(unknown)} for {name!r}; "
             f"allowed: {sorted(defaults)}"
         )
+    for key, value in params.items():
+        _check_param_type(f"experiment.params.{key}", value, defaults[key])
     merged = dict(defaults)
     merged.update(params)
     if trials is not None:

@@ -31,6 +31,7 @@ from .errors import (
     DomainMismatchError,
     EmptyClassError,
     EmptySampleError,
+    InvalidGraphSampleError,
     NotInClassError,
 )
 from .losses import (
@@ -46,12 +47,12 @@ BOUND_TOL = 1e-12
 
 def _check_record(x: int, bs: frozenset, n_points: int) -> None:
     if not 0 <= x < n_points:
-        raise ValueError(f"point index {x} out of range")
+        raise InvalidGraphSampleError(f"point index {x} out of range")
     for v in bs:
         if not 0 <= v < n_points:
-            raise ValueError(f"target index {v} out of range")
+            raise InvalidGraphSampleError(f"target index {v} out of range")
     if x in bs:
-        raise ValueError(f"observed target set of point {x} contains the point itself")
+        raise InvalidGraphSampleError(f"observed target set of point {x} contains the point itself")
 
 
 class GraphSample:
@@ -60,7 +61,7 @@ class GraphSample:
     def __init__(self, xs, bsets: Sequence[frozenset], n_points: int):
         xa = np.asarray(xs, dtype=np.int64)
         if xa.ndim != 1 or xa.size != len(bsets):
-            raise ValueError("xs and bsets must be equal-length 1-d sequences")
+            raise InvalidGraphSampleError("xs and bsets must be equal-length 1-d sequences")
         frozen = []
         for x, b in zip(xa, bsets):
             bs = frozenset(int(v) for v in b)
@@ -106,7 +107,7 @@ def write_graph_sample(sample: GraphSample, path) -> None:
 
 
 def read_graph_sample(path, n_points: int) -> GraphSample:
-    """Read a sample file; a malformed line raises ValueError("path:line: ...")."""
+    """Read a sample file; a malformed line raises InvalidGraphSampleError("path:line: ...")."""
     xs: list[int] = []
     bsets: list[frozenset] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -123,7 +124,7 @@ def read_graph_sample(path, n_points: int) -> GraphSample:
                 bs = frozenset(int(v) for v in field.split(",")) if field else frozenset()
                 _check_record(x, bs, n_points)
             except ValueError as e:
-                raise ValueError(f"{path}:{lineno}: {e}") from e
+                raise InvalidGraphSampleError(f"{path}:{lineno}: {e}") from e
             xs.append(x)
             bsets.append(bs)
     return GraphSample(np.asarray(xs, dtype=np.int64), bsets, n_points=n_points)

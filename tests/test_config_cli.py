@@ -10,6 +10,7 @@ import pytest
 from strategia.cli import main
 from strategia.config import build_scenario, load_config, resolve_workers
 from strategia.errors import ConfigError
+from strategia.experiments import _REGISTRY
 
 GOLDEN_EVAL_HEAD = (
     "index,hypothesis,binary_loss,strategic_loss,component_loss,"
@@ -317,7 +318,50 @@ SMALL_GRAPH_SCENARIO = {"generator": "random",
                                    "density": 0.3, "n_graphs": 3}}
 
 
+def _wrongly_typed(default):
+    """A value of the wrong type for a param with this default."""
+    if isinstance(default, list):
+        return "abc"
+    if isinstance(default, int):
+        return 2.5
+    if isinstance(default, float):
+        return "x"
+    return 5
+
+
+REGISTRY_PARAMS = [
+    (name, key, _wrongly_typed(default))
+    for name, (defaults, _) in sorted(_REGISTRY.items())
+    for key, default in sorted(defaults.items())
+]
+
+
 class TestCliBadParameters:
+    @pytest.mark.parametrize(
+        "name, key, value", REGISTRY_PARAMS, ids=[f"{n}.{k}" for n, k, _ in REGISTRY_PARAMS]
+    )
+    def test_wrongly_typed_param_exits_2(self, tmp_path, capsys, name, key, value):
+        path = write_config(tmp_path, {"experiment": {"name": name, "params": {key: value}}})
+        assert_one_config_error(
+            capsys, main(["experiment", "--config", path]),
+            f"config error: experiment.params.{key}: expected a",
+        )
+
+    @pytest.mark.parametrize("params", [
+        {"trials": "x"}, {"trials": True}, {"eps_values": [0.1, "a"]}, {"delta": None},
+    ])
+    def test_thm3_typed_param_exits_2(self, tmp_path, capsys, params):
+        path = write_config(tmp_path, {"experiment": {"name": "thm3", "params": params}})
+        assert_one_config_error(capsys, main(["experiment", "--config", path]))
+
+    def test_list_of_ints_rejects_fractions(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"experiment": {"name": "thm4",
+                                                      "params": {"n_grid": [25, 2.5]}}})
+        assert_one_config_error(
+            capsys, main(["experiment", "--config", path]),
+            "config error: experiment.params.n_grid[1]: expected an integer, got 2.5",
+        )
+
     @pytest.mark.parametrize("name, params", [
         ("thm3", {"trials": 0}),
         ("thm3", {"eps_values": []}),

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from strategia.config import build_scenario
 from strategia.domain import Hypothesis
 from strategia.errors import ConfigError
 from strategia.experiments import (
@@ -265,3 +266,43 @@ class TestGoldenDigests:
         kw, digest = GOLDEN_CSV_SHA256[name]
         csv = run_experiment(name, workers=workers, **kw).table.to_csv_text()
         assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+def _vc_search_scenario(n_hypotheses=80, density=0.3, n_points=12, n_graphs=3):
+    return {"generator": "random", "params": {
+        "n_points": n_points, "n_hypotheses": n_hypotheses, "density": density,
+        "n_graphs": n_graphs}}
+
+
+_ALL_VC_TARGETS = ["class", "binary", "strategic", "component", "graph"]
+
+# sha256 of the vc CSV on the benchmark's vc-search configuration (12 points,
+# 80 members, all five targets, cap 6) at three seeds, plus one run that
+# reaches its cap. The digests were recorded before the VC search became
+# levelwise; any change to a dimension, witness or set count shows up here.
+GOLDEN_VC_CSV_SHA256 = {
+    "vc-search-1000": (
+        (_vc_search_scenario(), 1000, 6),
+        "26993f0a6fa489ce11d3e6e93ba606dbcea5cf57decbbbe9af54672f3b3e44fc",
+    ),
+    "vc-search-7003": (
+        (_vc_search_scenario(), 7003, 6),
+        "e7bc0b07fabce2d38c9ddba92534d96919ff899701868c117b0bbb3adc141649",
+    ),
+    "vc-search-20001": (
+        (_vc_search_scenario(), 20001, 6),
+        "babb8c480f2945f8a46c889e6e11be14ad29e6ffe0a0da5ce8dfc1a6b3ec6deb",
+    ),
+    "capped-at-3": (
+        (_vc_search_scenario(n_hypotheses=60, density=0.4, n_points=10, n_graphs=4), 7, 3),
+        "82ceadcdde7fc7f136700a42ce94f92ea962afc803a80f365bcc0b44bb899751",
+    ),
+}
+
+
+class TestVcGoldenDigests:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_VC_CSV_SHA256))
+    def test_vc_csv_bytes_are_pinned(self, name):
+        (spec, seed, cap), digest = GOLDEN_VC_CSV_SHA256[name]
+        table = vc_table(build_scenario(spec, seed), targets=_ALL_VC_TARGETS, cap=cap)
+        assert hashlib.sha256(table.to_csv_text().encode()).hexdigest() == digest

@@ -14,8 +14,10 @@ from strategia import (
     GraphSample,
     Hypothesis,
     HypothesisClass,
+    InvalidGraphSampleError,
     ManipulationGraph,
     NotInClassError,
+    StrategiaError,
     SurrogateBoundReport,
     draw_graph_sample,
     empirical_distance,
@@ -63,6 +65,21 @@ class TestGraphSample:
         with pytest.raises(ValueError):
             GraphSample([0, 1], [frozenset()], n_points=2)
 
+    @pytest.mark.parametrize("xs, bsets", [
+        ([2], [frozenset()]),
+        ([0], [frozenset({5})]),
+        ([0], [frozenset({0, 1})]),
+        ([0, 1], [frozenset()]),
+    ], ids=["point-out-of-range", "target-out-of-range", "self-target", "length-mismatch"])
+    def test_bad_records_are_package_errors(self, xs, bsets):
+        """Library callers can catch every bad record with the package base class."""
+        try:
+            GraphSample(xs, bsets, n_points=2)
+        except StrategiaError as e:
+            assert isinstance(e, InvalidGraphSampleError) and isinstance(e, ValueError)
+        else:
+            pytest.fail("no error raised")
+
     @given(graph_sample_instances())
     def test_draws_carry_true_successor_sets(self, inst):
         """Every drawn pair holds exactly the reference graph's successor set."""
@@ -105,6 +122,12 @@ class TestGraphSampleFiles:
         path = tmp_path / "s.tsv"
         path.write_text("0\t1\nnot a row\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r":2:"):
+            read_graph_sample(path, n_points=2)
+
+    def test_malformed_line_is_a_package_error(self, tmp_path):
+        path = tmp_path / "s.tsv"
+        path.write_text("0\t1\n1\t1\n", encoding="utf-8")
+        with pytest.raises(InvalidGraphSampleError, match=r":2: observed target set"):
             read_graph_sample(path, n_points=2)
 
 

@@ -11,6 +11,9 @@ from strategia import (
     HypothesisClass,
     LossKind,
     SetSystem,
+    StrategiaError,
+    VcInputError,
+    VcReport,
     class_system,
     gen_obs1,
     gen_random,
@@ -35,6 +38,29 @@ def random_systems(draw):
         for _ in range(n_sets)
     ]
     return SetSystem(tuple(range(n)), sets)
+
+
+@st.composite
+def systems_with_repeats(draw):
+    """Up to 14 ground elements; some sets repeated, the empty set sometimes in."""
+    n = draw(st.integers(1, 14))
+    sets = draw(st.lists(st.lists(st.integers(0, n - 1), unique=True, max_size=n), max_size=24))
+    if sets:
+        sets += draw(st.lists(st.sampled_from(sets), max_size=4))
+    if draw(st.booleans()):
+        sets.insert(draw(st.integers(0, len(sets))), [])
+    return SetSystem(tuple(range(n)), sets)
+
+
+def smallest_shattered(system, k):
+    """The lexicographically first k-subset of the ground shattered by the
+    family, from frozenset traces; None when there is none."""
+    family = [frozenset(s) for s in system.sets]
+    for cand in combinations(range(len(system.ground)), k):
+        c = frozenset(cand)
+        if len({f & c for f in family}) == 1 << k:
+            return cand
+    return None
 
 
 @st.composite
@@ -94,6 +120,12 @@ class TestIsShattered:
         with pytest.raises(CapacityError):
             is_shattered(sys, range(31))
 
+    def test_candidate_limit_is_thirty_elements(self):
+        sys = SetSystem(range(40), [(), (0,), (0, 1)])
+        assert not is_shattered(sys, range(30))
+        with pytest.raises(CapacityError):
+            is_shattered(sys, range(31))
+
 
 class TestVcDimension:
     def test_empty_system_has_dimension_minus_one(self):
@@ -137,6 +169,24 @@ class TestVcDimension:
         fast = vc_dimension(sys, cap=8)
         assert fast.dimension == oracles.oracle_vc(sys, max_size=8)
 
+    @given(systems_with_repeats(), st.integers(0, 8))
+    def test_matches_oracle_with_smallest_witness(self, sys, cap):
+        """Dimension, cap flag and witness agree with frozenset-trace enumeration."""
+        rep = vc_dimension(sys, cap=cap)
+        want = oracles.oracle_vc(sys, max_size=cap)
+        assert rep.dimension == want
+        assert rep.capped == (want >= 0 and want == cap)
+        assert rep.witness == (smallest_shattered(sys, want) if want > 0 else ())
+
+    def test_ground_beyond_64_elements(self):
+        # element 1 is in every set, so a mask that wrapped 65 -> 1 or
+        # 66 -> 2 would lose the only shattered pair
+        sys = SetSystem(range(70), [(1,), (1, 65), (1, 66), (1, 65, 66)])
+        assert vc_dimension(sys, ground_limit=70) == VcReport(2, (65, 66))
+        assert oracles.oracle_vc(sys) == 2
+        assert is_shattered(sys, [65, 66])
+        assert not is_shattered(sys, [1, 2]) and not is_shattered(sys, [1, 65])
+
     @given(random_systems(), st.data())
     def test_invariant_under_permutation_and_duplicates(self, sys, data):
         """Relabeling ground elements or repeating sets keeps the dimension."""
@@ -147,6 +197,22 @@ class TestVcDimension:
         want = vc_dimension(sys, cap=8).dimension
         assert vc_dimension(permuted, cap=8).dimension == want
         assert vc_dimension(doubled, cap=8).dimension == want
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("call", [
+        lambda: SetSystem(range(2), [(0, 5)]),
+        lambda: is_shattered(SetSystem(range(2), [(0,)]), [5]),
+        lambda: vc_dimension(SetSystem(range(2), [(0,)]), cap=-1),
+    ], ids=["set-out-of-range", "candidate-out-of-range", "negative-cap"])
+    def test_bad_input_is_a_package_error(self, call):
+        """Library callers can catch every bad VC input with the package base class."""
+        try:
+            call()
+        except StrategiaError as e:
+            assert isinstance(e, VcInputError) and isinstance(e, ValueError)
+        else:
+            pytest.fail("no error raised")
 
 
 class TestLossClassDimensions:
