@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .config import _expect, _expect_int, _expect_number, _expect_str, _type_name, build_scenario
-from .domain import Hypothesis
+from .domain import Hypothesis, HypothesisClass, LabeledDistribution, ManipulationGraph
 from .errors import ConfigError, UndefinedBurdenError
 from .graphdist import (
     draw_graph_sample,
@@ -37,10 +37,10 @@ from .learners import draw_sample, erm, ic_erm, inverse_cdf, singleton_learner, 
 from .losses import (
     LossKind,
     class_component_matrix,
-    effective_hypothesis,
     expected_loss,
+    expected_rows,
     is_incentive_compatible,
-    loss_table,
+    loss_cells,
     social_burden,
 )
 from .results import ResultTable
@@ -82,47 +82,47 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
-def _check_param_type(path: str, value, default) -> None:
-    """A given param must have the type of its default: an int, a float (an
-    int is accepted), a list of the same kind of number, or a string where
-    the default is None."""
+def _check_param(path: str, value, default, interval: Optional[str]) -> None:
+    """A param must have the type of its default: an int, a float (an int is
+    accepted), a nonempty list of the same kind of number, or a string where
+    the default is None. A number, and every entry of a list, must lie in the
+    interval, written like "[1, inf)" or "(0, 0.5)"."""
+    if default is None:
+        if value is not None:
+            _expect_str(value, path)
+        return
     if isinstance(default, list):
         _expect(isinstance(value, list), path, f"expected a list, got {_type_name(value)}")
-        check = _expect_int if all(isinstance(v, int) for v in default) else _expect_number
+        _expect(len(value) > 0, path, "must be a nonempty list")
         for i, v in enumerate(value):
-            check(v, f"{path}[{i}]")
-    elif isinstance(default, int):
-        _expect_int(value, path)
-    elif isinstance(default, float):
-        _expect_number(value, path)
-    elif value is not None:
-        _expect_str(value, path)
+            _check_param(f"{path}[{i}]", v, default[0], interval)
+        return
+    (_expect_int if isinstance(default, int) else _expect_number)(value, path)
+    lo, hi = (float(v) for v in interval[1:-1].split(","))
+    above = lo < value if interval[0] == "(" else lo <= value
+    below = value < hi if interval[-1] == ")" else value <= hi
+    _expect(above and below, path, f"must be in {interval}, got {value!r}")
 
 
-def _merge_params(name: str, params: Optional[dict], defaults: dict, trials: Optional[int]) -> dict:
-    """Defaults overridden by params, then by ``trials``; checked before any work."""
+def _merge_params(name: str, params: Optional[dict], spec: dict, trials: Optional[int]) -> dict:
+    """Defaults overridden by params, then by ``trials``; every value is checked
+    against its default's type and its interval before any work."""
     params = dict(params or {})
-    unknown = set(params) - set(defaults)
+    unknown = set(params) - set(spec)
     if unknown:
         raise ConfigError(
             f"experiment.params: unknown key(s) {sorted(unknown)} for {name!r}; "
-            f"allowed: {sorted(defaults)}"
+            f"allowed: {sorted(spec)}"
         )
-    for key, value in params.items():
-        _check_param_type(f"experiment.params.{key}", value, defaults[key])
-    merged = dict(defaults)
+    merged = {key: default for key, (default, _) in spec.items()}
     merged.update(params)
     if trials is not None:
         if "trials" in merged:
             merged["trials"] = int(trials)
         elif "draws" in merged:
             merged["draws"] = int(trials)
-    for key in ("trials", "draws", "instances"):
-        if key in merged and int(merged[key]) < 1:
-            raise ConfigError(f"experiment.params.{key}: must be >= 1, got {merged[key]!r}")
-    for key in ("eps_values", "n_grid"):
-        if key in merged and len(merged[key]) == 0:
-            raise ConfigError(f"experiment.params.{key}: must be a nonempty list")
+    for key, (default, interval) in spec.items():
+        _check_param(f"experiment.params.{key}", merged[key], default, interval)
     return merged
 
 
@@ -142,7 +142,7 @@ def _run_seeded(kernel: Callable, shared, items: Sequence, workers: int) -> list
 def describe_hypothesis(h: Hypothesis) -> str:
     d = h.descriptor
     if d is None:
-        return "".join("1" if b else "0" for b in h.labels)
+        return _labels_bits(h.labels)
     if d[0] == "threshold":
         return f"threshold(axis={d[1]},at={d[2]:g})"
     if d[0] == "halfspace":
@@ -155,8 +155,26 @@ def describe_hypothesis(h: Hypothesis) -> str:
     return repr(d)
 
 
-def _labels_bits(h: Hypothesis) -> str:
-    return "".join("1" if b else "0" for b in h.labels)
+def _labels_bits(labels: np.ndarray) -> str:
+    return "".join("1" if b else "0" for b in labels)
+
+
+def _class_losses(H: HypothesisClass, P: LabeledDistribution, graph: ManipulationGraph) -> tuple:
+    """Per-member exact columns as lists: binary, strategic and component
+    expected losses, incentive compatibility, effective labels (rows of a
+    matrix) and their binary loss."""
+    L = H.labels_matrix()
+    comp = class_component_matrix(H, graph)
+    effective = L | comp
+    binary = LossKind.binary()
+    return (
+        expected_rows(binary, L, None, P).tolist(),
+        expected_rows(LossKind.strategic(graph), L, comp, P).tolist(),
+        expected_rows(LossKind.component(graph), L, comp, P).tolist(),
+        (~comp.any(axis=1)).tolist(),
+        effective,
+        expected_rows(binary, effective, None, P).tolist(),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +197,8 @@ def eval_table(sc: Scenario, burden: bool = True) -> ResultTable:
             "burden_numerator",
         )
     )
-    strategic = LossKind.strategic(sc.graph)
-    component = LossKind.component(sc.graph)
-    binary = LossKind.binary()
-    for i, h in enumerate(sc.hclass):
+    columns = zip(*_class_losses(sc.hclass, sc.dist, sc.graph))
+    for i, (h, (b, s, c, ic, eff, eb)) in enumerate(zip(sc.hclass, columns)):
         bc = bn = None
         if burden:
             try:
@@ -190,19 +206,7 @@ def eval_table(sc: Scenario, burden: bool = True) -> ResultTable:
                 bc, bn = sb.conditional, sb.numerator
             except UndefinedBurdenError:
                 pass
-        eff = effective_hypothesis(h, sc.graph)
-        table.append(
-            i,
-            describe_hypothesis(h),
-            expected_loss(binary, h, sc.dist),
-            expected_loss(strategic, h, sc.dist),
-            expected_loss(component, h, sc.dist),
-            is_incentive_compatible(h, sc.graph),
-            _labels_bits(eff),
-            expected_loss(binary, eff, sc.dist),
-            bc,
-            bn,
-        )
+        table.append(i, describe_hypothesis(h), b, s, c, ic, _labels_bits(eff), eb, bc, bn)
     return table
 
 
@@ -273,21 +277,9 @@ def _exp_example1(spec, params, seed, workers) -> ExperimentResult:
         ("threshold", "binary_loss", "strategic_loss", "component_loss",
          "incentive_compatible", "effective_labels")
     )
-    ic_flags = []
-    strategic_losses = []
-    for h in H:
-        flag = is_incentive_compatible(h, graph)
-        s = expected_loss(strategic, h, P)
-        ic_flags.append(flag)
-        strategic_losses.append(s)
-        table.append(
-            float(h.descriptor[2]),
-            expected_loss(LossKind.binary(), h, P),
-            s,
-            expected_loss(LossKind.component(graph), h, P),
-            flag,
-            _labels_bits(effective_hypothesis(h, graph)),
-        )
+    binary, strategic_losses, component, ic_flags, effective, _ = _class_losses(H, P, graph)
+    for h, b, s, c, flag, eff in zip(H, binary, strategic_losses, component, ic_flags, effective):
+        table.append(float(h.descriptor[2]), b, s, c, flag, _labels_bits(eff))
     checks = []
     constants = {i for i, h in enumerate(H) if not h.labels.any() or h.labels.all()}
     ic_set = {i for i, f in enumerate(ic_flags) if f}
@@ -351,15 +343,11 @@ def _exp_example2(spec, params, seed, workers) -> ExperimentResult:
             raise ConfigError(f"experiment.params: p2={p2} leaves a negative p3")
         sc = gen_example2(p1, p2, p3, p4)
         H, P, graph = sc.hclass, sc.dist, sc.graph
-        strategic = LossKind.strategic(graph)
-        losses = [expected_loss(strategic, h, P) for h in H]
+        binary, losses, component, _, _, eff_losses = _class_losses(H, P, graph)
         best_i = int(np.argmin(losses))
-        eff_losses = [
-            expected_loss(LossKind.binary(), effective_hypothesis(h, graph), P) for h in H
-        ]
         post_i = int(np.argmin(eff_losses))
         S = draw_sample(P, sample_size, trial_seed(seed, row_i))
-        pick = erm(H, S, strategic)
+        pick = erm(H, S, LossKind.strategic(graph))
         cut = lambda i: float(H[i].descriptor[2])
         table.append(
             p2, p3, cut(best_i), losses[best_i], cut(post_i), eff_losses[post_i],
@@ -372,11 +360,8 @@ def _exp_example2(spec, params, seed, workers) -> ExperimentResult:
         if cut(post_i) != 3.5 or eff_losses[post_i] != 0.0:
             post_ok = False
             details.append(f"p2={p2}: post-response best {cut(post_i)} loss {eff_losses[post_i]}")
-        for h, s in zip(H, losses):
-            bound = expected_loss(LossKind.binary(), h, P) + expected_loss(
-                LossKind.component(graph), h, P
-            )
-            if s > bound + 1e-12:
+        for h, s, b, c in zip(H, losses, binary, component):
+            if s > b + c + 1e-12:
                 domination_ok = False
                 details.append(f"p2={p2}: domination fails at {describe_hypothesis(h)}")
     checks.append(
@@ -482,8 +467,12 @@ def _exp_thm3(spec, params, seed, workers) -> ExperimentResult:
         ("eps", "delta", "n", "exact_failure_prob", "observed_failure_rate", "trials")
     )
     checks = []
-    for ei, eps in enumerate([float(v) for v in params["eps_values"]]):
-        P = obs1_distribution(d, target_j, eps)
+    eps_values = [float(v) for v in params["eps_values"]]
+    try:
+        dists = [obs1_distribution(d, target_j, eps) for eps in eps_values]
+    except ValueError as e:
+        raise ConfigError(f"experiment.params.target_j: {e}") from e
+    for ei, (eps, P) in enumerate(zip(eps_values, dists)):
         n = math.ceil(math.log(1.0 / delta) / (2.0 * eps)) + slack
         exact = (1.0 - 2.0 * eps) ** n
         shared = (P, kind, targets, eps, n, seed)
@@ -526,7 +515,14 @@ def _thm4_erm_excess(shared, item) -> np.ndarray:
     return expected[picks] - expected.min()
 
 
+def _check_random_class(params) -> None:
+    n = int(params["n_points"])
+    _expect(int(params["n_hypotheses"]) <= 1 << n, "experiment.params.n_hypotheses",
+            f"must be at most 2**n_points = {1 << n}, got {params['n_hypotheses']!r}")
+
+
 def _thm4_instances(params, seed) -> list[Scenario]:
+    _check_random_class(params)
     instances = []
     budget = int(params["vc_budget"])
     want = int(params["instances"])
@@ -563,10 +559,9 @@ def _exp_thm4(spec, params, seed, workers) -> ExperimentResult:
     items = []
     for inst_i, sc in enumerate(instances):
         strategic = LossKind.strategic(sc.graph)
-        tables = np.stack(
-            [loss_table(strategic, h).ravel().astype(np.int64) for h in sc.hclass]
-        )
-        expected = np.array([expected_loss(strategic, h, sc.dist) for h in sc.hclass])
+        L, comp = sc.hclass.labels_matrix(), class_component_matrix(sc.hclass, sc.graph)
+        tables = loss_cells(strategic, L, comp).reshape(len(L), -1).astype(np.int64)
+        expected = expected_rows(strategic, L, comp, sc.dist)
         shared.append((tables, expected, np.cumsum(sc.dist.weights.ravel())))
         for n_i, n in enumerate(n_grid):
             unit_seed = trial_seed(seed, _THM4_UNIT_BASE + inst_i * len(n_grid) + n_i)
@@ -620,6 +615,7 @@ def _exp_thm5(spec, params, seed, workers) -> ExperimentResult:
     """Evaluate the surrogate chain on seeded random instances. Construction
     already validates lower <= true <= upper1 <= upper2; the check records
     the worst slack on top of that."""
+    _check_random_class(params)
     draws = int(params["draws"])
     table = ResultTable(
         ("draw", "member", "true_strategic", "binary", "surrogate_component",
@@ -753,16 +749,12 @@ def _exp_uniform_conv(spec, params, seed, workers) -> ExperimentResult:
     H, truth, G = sc.hclass, sc.graph, sc.graph_class
     marginal = sc.dist.marginal()
     comp_truth = class_component_matrix(H, truth)
-    diffs = []
-    true_d = []
-    for g in G:
-        comp_g = class_component_matrix(H, g)
-        diffs.append((comp_truth != comp_g).astype(np.int64))
-        true_d.append(hpx_distance(truth, g, H, marginal))
+    diff = np.concatenate([comp_truth != class_component_matrix(H, g) for g in G]).astype(np.int64)
+    true_d = np.array([hpx_distance(truth, g, H, marginal) for g in G])
     n_grid = [int(v) for v in params["n_grid"]]
     trials = int(params["trials"])
     margin = float(params["coverage_margin"])
-    shared = (np.concatenate(diffs, axis=0), np.asarray(true_d), np.cumsum(marginal), margin, seed)
+    shared = (diff, true_d, np.cumsum(marginal), margin, seed)
     items = [
         (n, _UC_BASE + n_i * trials + j) for n_i, n in enumerate(n_grid) for j in range(trials)
     ]
@@ -805,38 +797,51 @@ def _exp_uniform_conv(spec, params, seed, workers) -> ExperimentResult:
 # registry
 
 
-_REGISTRY: dict[str, tuple[dict, Callable]] = {
-    "example1": ({"n": 10, "sample_size": 400}, _exp_example1),
+# Each experiment's params: name -> (default, interval of allowed values, or
+# None for a string). Counts start at 1, probabilities lie in [0, 1], and a
+# domain holds at most MAX_DENSE_POINTS = 4096 points, so obs1 instances
+# (d + 2**d points) stop at d = 11.
+_COUNT = "[1, inf)"
+_NONNEGATIVE = "[0, inf)"
+_PROBABILITY = "[0, 1]"
+_POINTS = "[1, 4096]"
+
+_REGISTRY: dict[str, tuple[dict[str, tuple], Callable]] = {
+    "example1": ({"n": (10, "[2, 4096]"), "sample_size": (400, _COUNT)}, _exp_example1),
     "example2": (
-        {"p1": 0.25, "p4": 0.25, "p2_grid": [0.05, 0.15, 0.25, 0.35, 0.45],
-         "sample_size": 200},
+        {"p1": (0.25, _PROBABILITY), "p4": (0.25, _PROBABILITY),
+         "p2_grid": ([0.05, 0.15, 0.25, 0.35, 0.45], _PROBABILITY),
+         "sample_size": (200, _COUNT)},
         _exp_example2,
     ),
-    "obs1": ({"d_values": [2, 3], "cap": 5}, _exp_obs1),
+    "obs1": ({"d_values": ([2, 3], "[1, 11]"), "cap": (5, _NONNEGATIVE)}, _exp_obs1),
     "thm3": (
-        {"eps_values": [0.05, 0.1], "delta": 0.1, "slack": 2, "d": 3, "target_j": 1,
-         "trials": 2000},
+        {"eps_values": ([0.05, 0.1], "(0, 0.5)"), "delta": (0.1, "(0, 1)"),
+         "slack": (2, _NONNEGATIVE), "d": (3, "[1, 11]"), "target_j": (1, _NONNEGATIVE),
+         "trials": (2000, _COUNT)},
         _exp_thm3,
     ),
     "thm4": (
-        {"instances": 20, "n_points": 8, "n_hypotheses": 6, "density": 0.35,
-         "vc_budget": 4, "n_grid": [25, 100, 400, 1600], "trials": 200,
-         "excess_tol": 0.05},
+        {"instances": (20, _COUNT), "n_points": (8, _POINTS), "n_hypotheses": (6, _COUNT),
+         "density": (0.35, _PROBABILITY), "vc_budget": (4, _NONNEGATIVE),
+         "n_grid": ([25, 100, 400, 1600], _COUNT), "trials": (200, _COUNT),
+         "excess_tol": (0.05, _NONNEGATIVE)},
         _exp_thm4,
     ),
     "thm5": (
-        {"draws": 500, "n_points": 8, "n_hypotheses": 6, "density": 0.35,
-         "slack_tol": 1e-12},
+        {"draws": (500, _COUNT), "n_points": (8, _POINTS), "n_hypotheses": (6, _COUNT),
+         "density": (0.35, _PROBABILITY), "slack_tol": (1e-12, _NONNEGATIVE)},
         _exp_thm5,
     ),
     "graph-learn": (
-        {"sample_size": 400, "labeled_sample_size": 400, "sample_file": None},
+        {"sample_size": (400, _COUNT), "labeled_sample_size": (400, _COUNT),
+         "sample_file": (None, None)},
         _exp_graph_learn,
     ),
     "uniform-conv": (
-        {"n_grid": [50, 200, 800, 3200], "trials": 200,
-         "ratio_low": 1.4, "ratio_high": 2.8, "coverage_margin": 0.1,
-         "coverage_frac": 0.9},
+        {"n_grid": ([50, 200, 800, 3200], _COUNT), "trials": (200, _COUNT),
+         "ratio_low": (1.4, _NONNEGATIVE), "ratio_high": (2.8, _NONNEGATIVE),
+         "coverage_margin": (0.1, _NONNEGATIVE), "coverage_frac": (0.9, _PROBABILITY)},
         _exp_uniform_conv,
     ),
 }
@@ -864,5 +869,5 @@ def run_experiment(
         raise ConfigError(
             f"unknown experiment {name!r}; available: {available_experiments()}"
         )
-    defaults, fn = _REGISTRY[name]
-    return fn(scenario_spec, _merge_params(name, params, defaults, trials), int(seed), int(workers))
+    spec, fn = _REGISTRY[name]
+    return fn(scenario_spec, _merge_params(name, params, spec, trials), int(seed), int(workers))

@@ -13,9 +13,9 @@ with an empty neighbor field allowed, UTF-8.
 
 from __future__ import annotations
 
-import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,8 +39,9 @@ from .losses import (
     class_component_matrix,
     component_vector,
     expected_loss,
+    observed_component_matrix,
 )
-from .learners import inverse_cdf
+from .learners import _argmin_with_ties, inverse_cdf
 
 BOUND_TOL = 1e-12
 
@@ -209,14 +210,8 @@ def empirical_graph_loss(
         raise EmptySampleError("empirical graph loss over an empty sample")
     if h.size != S.n_points or candidate.size != S.n_points:
         raise DomainMismatchError("sample domain size mismatch")
-    labels = h.labels
-    reach = (candidate.adj & labels[None, :]).any(axis=1)
-    hits = 0
-    for x, b in S:
-        if labels[x]:
-            continue
-        obs_hit = any(labels[int(v)] for v in b)
-        hits += int(obs_hit != bool(reach[x]))
+    H = HypothesisClass([h])
+    hits = int(_graph_hits(H, candidate, _grouped_obs(H, S))[0])
     return hits / len(S) if normalized else float(hits)
 
 
@@ -279,35 +274,20 @@ def empirical_distance(
     return best / len(S) if normalized else float(best)
 
 
-def _sample_group_counts(S: GraphSample) -> tuple[list[tuple[int, frozenset]], np.ndarray]:
-    groups: dict[tuple[int, frozenset], int] = {}
-    order: list[tuple[int, frozenset]] = []
-    counts: list[int] = []
-    for x, b in S:
-        key = (x, b)
-        if key in groups:
-            counts[groups[key]] += 1
-        else:
-            groups[key] = len(order)
-            order.append(key)
-            counts.append(1)
-    return order, np.asarray(counts, dtype=np.int64)
-
-
 def _grouped_obs(H: HypothesisClass, S: GraphSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct sample items: their points, multiplicities, and per-member
     observed-side component indicators (rejected point with an accepted
     observed target)."""
-    order, counts = _sample_group_counts(S)
-    L = H.labels_matrix()
-    nm = L.shape[0]
-    obs = np.empty((nm, len(order)), dtype=bool)
-    for k, (x, b) in enumerate(order):
-        idx = list(b)
-        hit = L[:, idx].any(axis=1) if idx else np.zeros(nm, dtype=bool)
-        obs[:, k] = ~L[:, x] & hit
-    xs = np.asarray([x for x, _ in order], dtype=np.int64)
-    return xs, counts, obs
+    groups = Counter(S)
+    xs = np.array([x for x, _ in groups], dtype=np.int64)
+    counts = np.array(list(groups.values()), dtype=np.int64)
+    return xs, counts, observed_component_matrix(H, xs, [b for _, b in groups])
+
+
+def _graph_hits(H: HypothesisClass, candidate: ManipulationGraph, grouped) -> np.ndarray:
+    """Per-member graph-loss counts of the candidate on the grouped sample."""
+    xs, counts, obs = grouped
+    return (obs != class_component_matrix(H, candidate)[:, xs]).astype(np.int64) @ counts
 
 
 def empirical_sample_distance(
@@ -327,9 +307,7 @@ def empirical_sample_distance(
         raise EmptySampleError("empirical distance over an empty sample")
     if candidate.size != S.n_points:
         raise DomainMismatchError("sample domain size mismatch")
-    xs, counts, obs = _grouped_obs(H, S)
-    comp = class_component_matrix(H, candidate)[:, xs]
-    best = int(((obs != comp).astype(np.int64) @ counts).max())
+    best = int(_graph_hits(H, candidate, _grouped_obs(H, S)).max())
     return best / len(S) if normalized else float(best)
 
 
@@ -358,19 +336,10 @@ def graph_erm(G: GraphClass, H: HypothesisClass, S: GraphSample) -> GraphLearner
         raise EmptyClassError("graph ERM over an empty hypothesis class")
     if len(S) == 0:
         raise EmptySampleError("graph ERM over an empty sample")
-    xs, counts, obs = _grouped_obs(H, S)
-    best_hits: Optional[int] = None
-    best_idx = -1
-    ties = 0
-    for gi, g in enumerate(G):
-        comp = class_component_matrix(H, g)[:, xs]
-        per_member = (obs != comp).astype(np.int64) @ counts
-        hits = int(per_member.max())
-        if best_hits is None or hits < best_hits:
-            best_hits, best_idx, ties = hits, gi, 1
-        elif hits == best_hits:
-            ties += 1
-    return GraphLearnerOutput(G[best_idx], best_idx, best_hits / len(S), ties)
+    grouped = _grouped_obs(H, S)
+    hits = np.array([_graph_hits(H, g, grouped).max() for g in G])
+    idx, ties = _argmin_with_ties(hits)
+    return GraphLearnerOutput(G[idx], idx, int(hits[idx]) / len(S), ties)
 
 
 @dataclass(frozen=True)

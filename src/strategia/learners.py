@@ -28,12 +28,7 @@ from .errors import (
     NoIncentiveCompatibleError,
     RealizabilityError,
 )
-from .losses import (
-    LossKind,
-    effective_hypothesis,
-    is_incentive_compatible,
-    loss_table,
-)
+from .losses import LossKind, class_component_matrix, class_loss_table, loss_cells
 
 _MASK64 = (1 << 64) - 1
 
@@ -85,14 +80,6 @@ class LearnerOutput:
     tie_count: int
 
 
-def _class_hit_counts(H: HypothesisClass, S: LabeledSample, kind: LossKind) -> np.ndarray:
-    counts = S.counts().ravel()
-    hits = np.empty(len(H), dtype=np.int64)
-    for i, h in enumerate(H):
-        hits[i] = int(counts @ loss_table(kind, h).ravel())
-    return hits
-
-
 def _argmin_with_ties(values: np.ndarray) -> tuple[int, int]:
     best = values.min()
     ties = int((values == best).sum())
@@ -108,12 +95,21 @@ def _check_erm_inputs(H: HypothesisClass, S: LabeledSample) -> None:
         raise DomainMismatchError("class and sample domain sizes differ")
 
 
+def _fewest_hits(
+    H: HypothesisClass, S: LabeledSample, cells: np.ndarray, members=None
+) -> LearnerOutput:
+    """The member whose loss cells (rows x points x 2) the sample hits least;
+    row r stands for member ``members[r]``, or member r when members is None."""
+    hits = cells.reshape(len(cells), -1).astype(np.int64) @ S.counts().ravel()
+    pos, ties = _argmin_with_ties(hits)
+    idx = pos if members is None else int(members[pos])
+    return LearnerOutput(H[idx], idx, int(hits[pos]) / len(S), ties)
+
+
 def erm(H: HypothesisClass, S: LabeledSample, kind: LossKind) -> LearnerOutput:
     """Minimize the empirical loss of the given kind over the class."""
     _check_erm_inputs(H, S)
-    hits = _class_hit_counts(H, S, kind)
-    idx, ties = _argmin_with_ties(hits)
-    return LearnerOutput(H[idx], idx, int(hits[idx]) / len(S), ties)
+    return _fewest_hits(H, S, class_loss_table(kind, H))
 
 
 def performative_erm(H: HypothesisClass, S: LabeledSample, graph: ManipulationGraph) -> LearnerOutput:
@@ -123,30 +119,18 @@ def performative_erm(H: HypothesisClass, S: LabeledSample, graph: ManipulationGr
     returned hypothesis is the original member, not its effective labeling.
     """
     _check_erm_inputs(H, S)
-    counts = S.counts().ravel()
-    hits = np.empty(len(H), dtype=np.int64)
-    binary = LossKind.binary()
-    for i, h in enumerate(H):
-        eff = effective_hypothesis(h, graph)
-        hits[i] = int(counts @ loss_table(binary, eff).ravel())
-    idx, ties = _argmin_with_ties(hits)
-    return LearnerOutput(H[idx], idx, int(hits[idx]) / len(S), ties)
+    effective = H.labels_matrix() | class_component_matrix(H, graph)
+    return _fewest_hits(H, S, loss_cells(LossKind.binary(), effective, None))
 
 
 def ic_erm(H: HypothesisClass, S: LabeledSample, graph: ManipulationGraph) -> LearnerOutput:
     """Binary ERM restricted to the incentive compatible members of the class."""
     _check_erm_inputs(H, S)
-    feasible = [i for i, h in enumerate(H) if is_incentive_compatible(h, graph)]
-    if not feasible:
+    feasible = np.flatnonzero(~class_component_matrix(H, graph).any(axis=1))
+    if feasible.size == 0:
         raise NoIncentiveCompatibleError("class has no incentive compatible member for this graph")
-    counts = S.counts().ravel()
-    binary = LossKind.binary()
-    hits = np.array(
-        [int(counts @ loss_table(binary, H[i]).ravel()) for i in feasible], dtype=np.int64
-    )
-    pos, ties = _argmin_with_ties(hits)
-    idx = feasible[pos]
-    return LearnerOutput(H[idx], idx, int(hits[pos]) / len(S), ties)
+    cells = loss_cells(LossKind.binary(), H.labels_matrix()[feasible], None)
+    return _fewest_hits(H, S, cells, feasible)
 
 
 def singleton_learner(S: LabeledSample, targets: Sequence[int]) -> Hypothesis:

@@ -11,13 +11,21 @@ Three pointwise losses:
 
 The strategic loss is dominated pointwise by binary + component, which is
 what the surrogate bounds in graphdist build on.
+
+Class-level work has one representation, the members x points component
+matrix of ``class_component_matrix``; run on observed target sets instead of
+successor sets, the same reach kernel gives the observed side of the graph
+loss. ``loss_cells`` derives the loss of every (point, label) cell from
+labels and component losses, for one row or a whole matrix. The one-row
+functions (``reach_positive``, ``component_vector``, ``loss_table``, the
+scalar losses) are plain specifications of the same quantities.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -89,13 +97,33 @@ def component_vector(h: Hypothesis, graph: ManipulationGraph) -> np.ndarray:
     return ~h.labels & reach_positive(h, graph)
 
 
+def _reaches_accepted(L: np.ndarray, succ: np.ndarray) -> np.ndarray:
+    """Members x rows: whether row r of the boolean successor matrix holds a
+    point that the member accepts."""
+    # The float32 product is exact in any summation order: every partial sum
+    # counts at most n accepted successors, FiniteDomain caps n at
+    # MAX_DENSE_POINTS = 4096, and float32 holds every integer below 2**24.
+    return (L.astype(np.float32) @ succ.T.astype(np.float32)) > 0
+
+
 def class_component_matrix(H: HypothesisClass, graph: ManipulationGraph) -> np.ndarray:
     """Component loss vectors for every member, shape (len(H), n)."""
     L = H.labels_matrix()
     if L.shape[1] != graph.size:
         raise DomainMismatchError("class and graph domain sizes differ")
-    reach = (L.astype(np.uint8) @ graph.adj.T.astype(np.uint8)) > 0
-    return ~L & reach
+    return ~L & _reaches_accepted(L, graph.adj)
+
+
+def observed_component_matrix(
+    H: HypothesisClass, xs: np.ndarray, observed: Sequence[frozenset]
+) -> np.ndarray:
+    """Component loss against observed target sets, shape (len(H), len(xs)):
+    the member rejects point xs[k] and accepts some point of observed[k]."""
+    L = H.labels_matrix()
+    succ = np.zeros((len(observed), L.shape[1]), dtype=bool)
+    rows = np.repeat(np.arange(len(observed)), [len(b) for b in observed])
+    succ[rows, [v for b in observed for v in b]] = True
+    return ~L[:, xs] & _reaches_accepted(L, succ)
 
 
 def binary_loss(h: Hypothesis, x: int, y: int) -> int:
@@ -103,12 +131,7 @@ def binary_loss(h: Hypothesis, x: int, y: int) -> int:
 
 
 def strategic_loss(h: Hypothesis, x: int, y: int, graph: ManipulationGraph) -> int:
-    _check_pair(h, graph)
-    if h(x) != y:
-        return 1
-    if h(x) == 0 and bool((graph.adj[x] & h.labels).any()):
-        return 1
-    return 0
+    return int(strategic_component_loss(h, x, graph) or h(x) != y)
 
 
 def strategic_component_loss(h: Hypothesis, x: int, graph: ManipulationGraph) -> int:
@@ -116,22 +139,42 @@ def strategic_component_loss(h: Hypothesis, x: int, graph: ManipulationGraph) ->
     return int(h(x) == 0 and bool((graph.adj[x] & h.labels).any()))
 
 
+def loss_cells(kind: LossKind, labels: np.ndarray, comp: Optional[np.ndarray]) -> np.ndarray:
+    """Loss of every (point, label) cell, shape labels.shape + (2,), from the
+    acceptance labels and the component losses (unused by the binary kind).
+    Both may be one row or a members x points matrix."""
+    if kind.kind == "binary":
+        cells = (labels, ~labels)
+    elif kind.kind == "component":
+        cells = (comp, comp)
+    else:
+        cells = (labels | comp, ~labels | comp)
+    return np.stack(cells, axis=-1)
+
+
 def loss_table(kind: LossKind, h: Hypothesis) -> np.ndarray:
     """Pointwise loss of h on every (point, label) cell, shape (n, 2) uint8."""
-    n = h.size
-    table = np.empty((n, 2), dtype=np.uint8)
-    if kind.kind == "binary":
-        table[:, 0] = h.labels
-        table[:, 1] = ~h.labels
-        return table
-    comp = component_vector(h, kind.graph)
+    comp = None if kind.kind == "binary" else component_vector(h, kind.graph)
+    return loss_cells(kind, h.labels, comp).astype(np.uint8)
+
+
+def class_loss_table(kind: LossKind, H: HypothesisClass) -> np.ndarray:
+    """Pointwise loss of every member on every cell, shape (len(H), n, 2) bool."""
+    comp = None if kind.kind == "binary" else class_component_matrix(H, kind.graph)
+    return loss_cells(kind, H.labels_matrix(), comp)
+
+
+def expected_rows(
+    kind: LossKind, labels: np.ndarray, comp: Optional[np.ndarray], P: LabeledDistribution
+) -> np.ndarray:
+    """Expected loss of every row of members x points labels and component
+    losses. Each row takes its own dot product, the reduction expected_loss
+    uses; a matrix-vector product may sum in another order."""
     if kind.kind == "component":
-        table[:, 0] = comp
-        table[:, 1] = comp
-        return table
-    table[:, 0] = h.labels | comp
-    table[:, 1] = ~h.labels | comp
-    return table
+        w, rows = P.marginal(), comp
+    else:
+        w, rows = P.weights.ravel(), loss_cells(kind, labels, comp).reshape(len(labels), -1)
+    return np.array([w @ row for row in rows])
 
 
 def expected_loss(kind: LossKind, h: Hypothesis, P: LabeledDistribution) -> float:
@@ -253,4 +296,7 @@ def approximation_error(H: HypothesisClass, P: LabeledDistribution, kind: LossKi
     """Least achievable expected loss over the class."""
     if len(H) == 0:
         raise EmptyClassError("approximation error over an empty class")
-    return min(expected_loss(kind, h, P) for h in H)
+    if H.members[0].size != P.size:
+        raise DomainMismatchError("class and distribution domain sizes differ")
+    comp = None if kind.kind == "binary" else class_component_matrix(H, kind.graph)
+    return float(expected_rows(kind, H.labels_matrix(), comp, P).min())

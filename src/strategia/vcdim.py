@@ -24,7 +24,14 @@ import numpy as np
 
 from .domain import FiniteDomain, Hypothesis, HypothesisClass, ManipulationGraph
 from .errors import CapacityError, DomainMismatchError, VcInputError
-from .losses import LossKind, component_vector, loss_table
+from .losses import (
+    LossKind,
+    class_component_matrix,
+    class_loss_table,
+    component_vector,
+    loss_table,
+    observed_component_matrix,
+)
 
 DEFAULT_CAP = 6
 DEFAULT_GROUND_LIMIT = 40
@@ -110,20 +117,13 @@ def loss_class(H: HypothesisClass, kind: LossKind) -> SetSystem:
     """
     if len(H) == 0:
         return SetSystem((), ())
-    n = H.members[0].size
     if kind.kind == "component":
-        ground: tuple = tuple(range(n))
-        sets = []
-        for h in H:
-            comp = component_vector(h, kind.graph)
-            sets.append(tuple(int(x) for x in np.flatnonzero(comp)))
-        return SetSystem(ground, sets)
-    ground = pair_ground(n)
-    sets = []
-    for h in H:
-        flat = loss_table(kind, h).ravel()
-        sets.append(tuple(int(i) for i in np.flatnonzero(flat)))
-    return SetSystem(ground, sets)
+        rows = class_component_matrix(H, kind.graph)
+        ground: tuple = tuple(range(rows.shape[1]))
+    else:
+        rows = class_loss_table(kind, H).reshape(len(H), -1)
+        ground = pair_ground(rows.shape[1] // 2)
+    return SetSystem(ground, map(np.flatnonzero, rows))
 
 
 def class_system(H: HypothesisClass) -> SetSystem:
@@ -275,17 +275,6 @@ def vc_dimension(
     return VcReport(dimension=best_k, witness=best_witness)
 
 
-def _graph_point_loss(
-    labels: np.ndarray,
-    cand_reach_row: bool,
-    observed: frozenset,
-) -> int:
-    # loss charged when, at a rejected point, observed targets and candidate
-    # successors disagree on whether an accepted point is reachable
-    a = any(labels[b] for b in observed)
-    return int(a != cand_reach_row)
-
-
 def graph_loss_class(
     H: HypothesisClass,
     G: Sequence[ManipulationGraph],
@@ -308,20 +297,13 @@ def graph_loss_class(
             domain.check_index(b)
         ground.append((int(x), bset))
     ground_t = tuple(ground)
-    sets = []
-    for h in H:
-        if h.size != domain.size:
-            raise DomainMismatchError("hypothesis size does not match domain")
-        labels = h.labels
-        for g in G:
-            if g.size != domain.size:
-                raise DomainMismatchError("graph size does not match domain")
-            reach = (g.adj & labels[None, :]).any(axis=1)
-            s = []
-            for idx, (x, bset) in enumerate(ground_t):
-                if labels[x]:
-                    continue
-                if _graph_point_loss(labels, bool(reach[x]), bset):
-                    s.append(idx)
-            sets.append(tuple(s))
-    return SetSystem(ground_t, sets)
+    if any(h.size != domain.size for h in H):
+        raise DomainMismatchError("hypothesis size does not match domain")
+    if any(g.size != domain.size for g in G):
+        raise DomainMismatchError("graph size does not match domain")
+    if len(H) == 0 or len(G) == 0:
+        return SetSystem(ground_t, ())
+    xs = np.array([x for x, _ in ground_t], dtype=np.intp)
+    obs = observed_component_matrix(H, xs, [b for _, b in ground_t])
+    loss = np.stack([obs != class_component_matrix(H, g)[:, xs] for g in G], axis=1)
+    return SetSystem(ground_t, map(np.flatnonzero, loss.reshape(len(H) * len(G), len(xs))))

@@ -10,7 +10,7 @@ import pytest
 from strategia.cli import main
 from strategia.config import build_scenario, load_config, resolve_workers
 from strategia.errors import ConfigError
-from strategia.experiments import _REGISTRY
+from strategia.experiments import _REGISTRY, run_experiment
 
 GOLDEN_EVAL_HEAD = (
     "index,hypothesis,binary_loss,strategic_loss,component_loss,"
@@ -331,8 +331,8 @@ def _wrongly_typed(default):
 
 REGISTRY_PARAMS = [
     (name, key, _wrongly_typed(default))
-    for name, (defaults, _) in sorted(_REGISTRY.items())
-    for key, default in sorted(defaults.items())
+    for name, (spec, _) in sorted(_REGISTRY.items())
+    for key, (default, _) in sorted(spec.items())
 ]
 
 
@@ -377,6 +377,31 @@ class TestCliBadParameters:
     def test_monte_carlo_param_exits_2(self, tmp_path, capsys, name, params):
         path = write_config(tmp_path, {"experiment": {"name": name, "params": params}})
         assert_one_config_error(capsys, main(["experiment", "--config", path]))
+
+    @pytest.mark.parametrize("name, params, where", [
+        ("thm3", {"eps_values": [0.7]}, "eps_values[0]: must be in (0, 0.5), got 0.7"),
+        ("thm3", {"delta": 1.5}, "delta: must be in (0, 1), got 1.5"),
+        ("thm5", {"density": -0.5}, "density: must be in [0, 1], got -0.5"),
+        ("thm4", {"n_points": 0}, "n_points: must be in [1, 4096], got 0"),
+        ("thm4", {"density": 7.0}, "density: must be in [0, 1], got 7.0"),
+        ("thm3", {"d": 12}, "d: must be in [1, 11], got 12"),
+        ("example2", {"p2_grid": []}, "p2_grid: must be a nonempty list"),
+        ("uniform-conv", {"coverage_frac": 2}, "coverage_frac: must be in [0, 1], got 2"),
+        ("thm3", {"target_j": 100}, "target_j: target index 100 out of range"),
+        ("thm3", {"target_j": 7}, "target_j: target subset covers every source"),
+        ("thm4", {"n_points": 2, "n_hypotheses": 5}, "n_hypotheses: must be at most 2**n_points"),
+        ("thm5", {"n_points": 2, "n_hypotheses": 5}, "n_hypotheses: must be at most 2**n_points"),
+    ])
+    def test_out_of_range_param_exits_2(self, tmp_path, capsys, name, params, where):
+        path = write_config(tmp_path, {"experiment": {"name": name, "params": params}})
+        assert_one_config_error(
+            capsys, main(["experiment", "--config", path]),
+            f"config error: experiment.params.{where}",
+        )
+
+    def test_trials_override_is_range_checked(self):
+        with pytest.raises(ConfigError, match="trials: must be in"):
+            run_experiment("thm3", trials=0)
 
     @pytest.mark.parametrize("vc", [{"cap": -1}, {"ground_limit": 0}])
     def test_vc_bound_exits_2(self, tmp_path, capsys, vc):

@@ -235,10 +235,28 @@ class TestDeterminism:
         )
 
 
-# sha256 of each Monte Carlo experiment's CSV on a small configuration. The
-# digests were recorded before the experiments moved to one per-seed runner;
-# any change to seeds, draw order or formatting shows up here.
+# sha256 of each experiment's CSV on a small configuration. The Monte Carlo
+# digests were recorded before the experiments moved to one per-seed runner,
+# the example1, example2, obs1 and graph-learn ones before the losses moved
+# to class-level matrices; any change to seeds, draw order, summation order
+# or formatting shows up here.
 GOLDEN_CSV_SHA256 = {
+    "example1": (
+        dict(seed=3),
+        "8acf041054ca76cb88cd35933147f7f30d7cbfe749a9e88f95fb13c8d47701c1",
+    ),
+    "example2": (
+        dict(seed=4),
+        "f45b649fb70c8d1eb0c0d9d4ad03ae7d0511c45f1c75fdbad756bfc4f64e97c4",
+    ),
+    "obs1": (
+        dict(params={"d_values": [2, 3, 4]}, seed=5),
+        "7833e3a506fa1ce38ef807ec6a9b2627f86b9bedbc3fe7d59250a29b64c49e81",
+    ),
+    "graph-learn": (
+        dict(params={"sample_size": 300, "labeled_sample_size": 200}, seed=6),
+        "9aee4a36c76aec60930edadd40f4ddb1f6362b22d95d6602ee439a372d53eb99",
+    ),
     "thm3": (
         dict(params={"eps_values": [0.1], "d": 2, "trials": 60}, seed=7),
         "5e661f689cf02d44807b002123f7bb043695d6cc086af2cd0041f6226f8b4dce",
@@ -266,6 +284,23 @@ class TestGoldenDigests:
         kw, digest = GOLDEN_CSV_SHA256[name]
         csv = run_experiment(name, workers=workers, **kw).table.to_csv_text()
         assert hashlib.sha256(csv.encode()).hexdigest() == digest
+
+
+# sha256 of the eval CSV on a seeded random scenario, with and without the
+# burden columns, recorded before the losses moved to class-level matrices.
+GOLDEN_EVAL_CSV_SHA256 = {
+    True: "74d2915477c5294c356da845bba2e816ab73bd39daa29a1dd587ac783e94e262",
+    False: "55bbaa5238c25ee5d78e098ba1dd336f6bc4d5355d268ed826ec750583f717d6",
+}
+
+
+class TestEvalGoldenDigests:
+    @pytest.mark.parametrize("burden", [True, False])
+    def test_eval_csv_bytes_are_pinned(self, burden):
+        spec = {"generator": "random",
+                "params": {"n_points": 40, "n_hypotheses": 30, "density": 0.08}}
+        csv = eval_table(build_scenario(spec, 21), burden=burden).to_csv_text()
+        assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_EVAL_CSV_SHA256[burden]
 
 
 def _vc_search_scenario(n_hypotheses=80, density=0.3, n_points=12, n_graphs=3):

@@ -1,6 +1,7 @@
 """Tests for pointwise losses, loss tables, expectations, and social burden."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from strategia import (
     DomainMismatchError,
     EmptySampleError,
     FiniteDomain,
+    GraphClass,
+    GraphSample,
     Hypothesis,
+    HypothesisClass,
     LabeledDistribution,
     LabeledSample,
     LossKind,
@@ -19,11 +23,14 @@ from strategia import (
     UndefinedBurdenError,
     approximation_error,
     binary_loss,
+    class_component_matrix,
     effective_hypothesis,
     expected_loss,
     empirical_loss,
     gen_example2,
     gen_random,
+    graph_erm,
+    hpx_distance,
     is_incentive_compatible,
     loss_set,
     loss_table,
@@ -31,7 +38,13 @@ from strategia import (
     strategic_component_loss,
     strategic_loss,
 )
-from strategia.losses import component_vector, reach_positive
+from strategia.losses import (
+    class_loss_table,
+    component_vector,
+    expected_rows,
+    observed_component_matrix,
+    reach_positive,
+)
 from strategia import oracles
 
 # exact per-threshold expectations for the four-point one-way chain at
@@ -269,3 +282,68 @@ class TestSocialBurden:
         else:
             assert sb.numerator == pytest.approx(want_num, abs=1e-12)
             assert sb.conditional * pos == pytest.approx(sb.numerator, abs=1e-12)
+
+
+class TestClassMatrices:
+    @given(instances())
+    def test_class_rows_equal_the_one_row_specifications(self, sc):
+        """Every class-level matrix row equals its one-row function, and the
+        class-level expectations equal expected_loss exactly."""
+        H, P, g = sc.hclass, sc.dist, sc.graph
+        L, comp = H.labels_matrix(), class_component_matrix(H, g)
+        np.testing.assert_array_equal(comp, np.stack([component_vector(h, g) for h in H]))
+        for kind in (LossKind.binary(), LossKind.strategic(g), LossKind.component(g)):
+            rows = np.stack([loss_table(kind, h) for h in H]).astype(bool)
+            np.testing.assert_array_equal(class_loss_table(kind, H), rows)
+            assert expected_rows(kind, L, comp, P).tolist() == [expected_loss(kind, h, P) for h in H]
+
+    @given(instances())
+    def test_observed_true_successor_sets_give_the_component_matrix(self, sc):
+        g = sc.graph
+        xs = np.arange(g.size)
+        np.testing.assert_array_equal(
+            observed_component_matrix(sc.hclass, xs, g.neighbor_sets()),
+            class_component_matrix(sc.hclass, g),
+        )
+
+
+class TestWideSuccessorSets:
+    """A point with a multiple of 256 accepted successors still reaches one.
+
+    On a star whose centre points at every leaf, the member that accepts all
+    leaves and rejects the centre pays the component loss at the centre under
+    the star and nowhere under the empty graph.
+    """
+
+    @staticmethod
+    def _star(leaves):
+        dom = FiniteDomain(leaves + 1)
+        star = ManipulationGraph(dom, [(0, j) for j in range(1, leaves + 1)])
+        H = HypothesisClass([
+            Hypothesis([0] + [1] * leaves),
+            Hypothesis([0] * (leaves + 1)),
+            Hypothesis([0] + [1, 0] * (leaves // 2)),
+        ])
+        return dom, star, ManipulationGraph(dom), H
+
+    @pytest.mark.parametrize("leaves", [256, 512])
+    def test_class_matrix_and_distance_match_oracle(self, leaves):
+        dom, star, empty, H = self._star(leaves)
+        rows = np.stack([component_vector(h, star) for h in H])
+        assert rows[0, 0] and rows[2, 0]
+        np.testing.assert_array_equal(class_component_matrix(H, star), rows)
+        marginal = np.full(dom.size, 1.0 / dom.size)
+        want = oracles.oracle_distance(star, empty, H, marginal)
+        assert want == Fraction(marginal[0])  # the centre's weight
+        assert hpx_distance(star, empty, H, marginal) == pytest.approx(float(want), abs=1e-12)
+
+    @pytest.mark.parametrize("leaves", [256, 512])
+    def test_graph_erm_picks_the_star(self, leaves):
+        dom, star, empty, H = self._star(leaves)
+        nsets = star.neighbor_sets()
+        S = GraphSample([0, 1, 0, 2], [nsets[x] for x in (0, 1, 0, 2)], n_points=dom.size)
+        G = GraphClass([empty, star])
+        want = [oracles.oracle_empirical_distance(g, H, S) for g in G]
+        assert want == [Fraction(1, 2), Fraction(0)]
+        out = graph_erm(G, H, S)
+        assert (out.index, out.empirical_value, out.tie_count) == (1, 0.0, 1)
