@@ -37,11 +37,12 @@ from .learners import draw_sample, erm, ic_erm, inverse_cdf, singleton_learner, 
 from .losses import (
     LossKind,
     class_component_matrix,
+    class_social_burden,
     expected_loss,
     expected_rows,
     is_incentive_compatible,
     loss_cells,
-    social_burden,
+    social_burden,  # not called here; perfbench's tracer self-test reads this binding
 )
 from .results import ResultTable
 from .scenarios import (
@@ -197,15 +198,15 @@ def eval_table(sc: Scenario, burden: bool = True) -> ResultTable:
             "burden_numerator",
         )
     )
-    columns = zip(*_class_losses(sc.hclass, sc.dist, sc.graph))
-    for i, (h, (b, s, c, ic, eff, eb)) in enumerate(zip(sc.hclass, columns)):
-        bc = bn = None
-        if burden:
-            try:
-                sb = social_burden(h, sc.dist, graph=sc.graph)
-                bc, bn = sb.conditional, sb.numerator
-            except UndefinedBurdenError:
-                pass
+    blank = [None] * len(sc.hclass)
+    burdens = (blank, blank)
+    if burden:
+        try:
+            burdens = [col.tolist() for col in class_social_burden(sc.hclass, sc.dist, sc.graph)]
+        except UndefinedBurdenError:  # depends on the distribution alone: every row is blank
+            pass
+    columns = zip(*_class_losses(sc.hclass, sc.dist, sc.graph), *burdens)
+    for i, (h, (b, s, c, ic, eff, eb, bc, bn)) in enumerate(zip(sc.hclass, columns)):
         table.append(i, describe_hypothesis(h), b, s, c, ic, _labels_bits(eff), eb, bc, bn)
     return table
 

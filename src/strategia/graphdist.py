@@ -57,7 +57,11 @@ def _check_record(x: int, bs: frozenset, n_points: int) -> None:
 
 
 class GraphSample:
-    """An ordered sequence of (point index, observed target set) pairs."""
+    """An ordered sequence of (point index, observed target set) pairs.
+
+    A target set given as a frozenset is kept as it is, so a sample drawn
+    from a graph shares the graph's ``neighbor_sets()`` objects.
+    """
 
     def __init__(self, xs, bsets: Sequence[frozenset], n_points: int):
         xa = np.asarray(xs, dtype=np.int64)
@@ -65,7 +69,7 @@ class GraphSample:
             raise InvalidGraphSampleError("xs and bsets must be equal-length 1-d sequences")
         frozen = []
         for x, b in zip(xa, bsets):
-            bs = frozenset(int(v) for v in b)
+            bs = b if isinstance(b, frozenset) else frozenset(int(v) for v in b)
             _check_record(int(x), bs, n_points)
             frozen.append(bs)
         xa.setflags(write=False)

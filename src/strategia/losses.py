@@ -13,12 +13,14 @@ The strategic loss is dominated pointwise by binary + component, which is
 what the surrogate bounds in graphdist build on.
 
 Class-level work has one representation, the members x points component
-matrix of ``class_component_matrix``; run on observed target sets instead of
-successor sets, the same reach kernel gives the observed side of the graph
-loss. ``loss_cells`` derives the loss of every (point, label) cell from
-labels and component losses, for one row or a whole matrix. The one-row
-functions (``reach_positive``, ``component_vector``, ``loss_table``, the
-scalar losses) are plain specifications of the same quantities.
+matrix of ``class_component_matrix``. The same reach kernel, run on observed
+target sets instead of successor sets, gives the observed side of the graph
+loss; run hop by hop on members x points frontiers, it is the backward BFS
+of ``class_social_burden``, whose one-row view is ``social_burden``.
+``loss_cells`` derives the loss of every (point, label) cell from labels and
+component losses, for one row or a whole matrix. The one-row functions
+(``reach_positive``, ``component_vector``, ``loss_table``, the scalar
+losses) are plain specifications of the same quantities.
 """
 
 from __future__ import annotations
@@ -230,26 +232,45 @@ class SocialBurden:
     numerator: float
 
 
-def _unit_edge_costs(h: Hypothesis, graph: ManipulationGraph) -> np.ndarray:
-    """Shortest-path edge counts from every point to the nearest accepted point."""
-    n = graph.size
-    dist = np.full(n, math.inf)
-    frontier = [int(i) for i in np.flatnonzero(h.labels)]
-    for i in frontier:
-        dist[i] = 0.0
+def _burden_rows(costs: np.ndarray, P: LabeledDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """(conditional, numerator) of every row of a rows x points cost matrix.
+
+    The numerator adds w * cost over the positive-weight points from left to
+    right, the order of a plain loop; np.sum and a matrix-vector product may
+    sum in another order. Zero-weight points are left out, so an unreachable
+    one (cost inf) gives no nan."""
+    w = P.weights[:, 1]
+    positive_mass = float(w.sum())
+    if positive_mass <= 0.0:
+        raise UndefinedBurdenError("no positive-label mass: burden undefined")
+    positive = w > 0.0
+    numerator = np.cumsum(w[positive] * costs[:, positive], axis=1)[:, -1]
+    return numerator / positive_mass, numerator
+
+
+def class_social_burden(
+    H: HypothesisClass, P: LabeledDistribution, graph: ManipulationGraph
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-edge social burden of every member: (conditional, numerator)
+    arrays of length len(H), as social_burden gives them one member at a time.
+
+    One backward BFS from every member's accepted points at once: a point
+    joins hop k when one of its successors was reached at hop k - 1. Raises
+    UndefinedBurdenError when P has no positive-label mass, for every member.
+    """
+    L = H.labels_matrix()
+    if L.shape[1] != P.size:
+        raise DomainMismatchError("class and distribution domain sizes differ")
+    if L.shape[1] != graph.size:
+        raise DomainMismatchError("class and graph domain sizes differ")
+    dist = np.where(L, 0.0, math.inf)
+    frontier = L
     steps = 0
-    # BFS backwards: who can reach the current frontier in one more hop.
-    adj = graph.adj
-    while frontier:
+    while frontier.any():
         steps += 1
-        nxt = []
-        for j in frontier:
-            for i in np.flatnonzero(adj[:, j]):
-                if dist[i] > steps:
-                    dist[i] = float(steps)
-                    nxt.append(int(i))
-        frontier = nxt
-    return dist
+        frontier = _reaches_accepted(frontier, graph.adj) & (dist == math.inf)
+        dist[frontier] = steps
+    return _burden_rows(dist, P)
 
 
 def social_burden(
@@ -263,15 +284,13 @@ def social_burden(
     With a cost model, the cost at x is min over accepted points x' of
     cost(x, x') (zero when x itself is accepted). Without one, unit edge
     costs are used: the cost is the shortest-path hop count in the graph to
-    the nearest accepted point, so a graph is required.
+    the nearest accepted point, so a graph is required; this is the one-row
+    view of class_social_burden.
     """
     if h.size != P.size:
         raise DomainMismatchError("hypothesis and distribution domain sizes differ")
-    positive_mass = float(P.weights[:, 1].sum())
-    if positive_mass <= 0.0:
-        raise UndefinedBurdenError("no positive-label mass: burden undefined")
-    n = h.size
     if cost_model is not None:
+        n = h.size
         accepted = h.positives()
         costs = np.full(n, math.inf)
         for x in range(n):
@@ -279,17 +298,13 @@ def social_burden(
                 c = cost_model.cost(x, int(xp))
                 if c < costs[x]:
                     costs[x] = c
+        conditional, numerator = _burden_rows(costs[None, :], P)
     else:
         if graph is None:
             raise ValueError("social_burden needs a graph when no cost model is given")
         _check_pair(h, graph)
-        costs = _unit_edge_costs(h, graph)
-    numerator = 0.0
-    for x in range(n):
-        w = float(P.weights[x, 1])
-        if w > 0.0:
-            numerator += w * float(costs[x])
-    return SocialBurden(conditional=numerator / positive_mass, numerator=numerator)
+        conditional, numerator = class_social_burden(HypothesisClass([h]), P, graph)
+    return SocialBurden(conditional=float(conditional[0]), numerator=float(numerator[0]))
 
 
 def approximation_error(H: HypothesisClass, P: LabeledDistribution, kind: LossKind) -> float:

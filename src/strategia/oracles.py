@@ -23,8 +23,10 @@ def _labels_of(h) -> list[int]:
 
 
 def _succ_of(graph) -> list[set[int]]:
-    rows = np.asarray(graph.adj).tolist()
-    return [set(j for j, hit in enumerate(row) if hit) for row in rows]
+    adj = np.asarray(graph.adj)
+    targets = np.nonzero(adj)[1].tolist()  # row by row
+    ends = np.cumsum(adj.sum(axis=1)).tolist()
+    return [set(targets[start:end]) for start, end in zip([0] + ends[:-1], ends)]
 
 
 def _weights_of(P) -> list[list[Fraction]]:
@@ -54,7 +56,8 @@ def oracle_expected_loss(h, P, kind: str, graph=None) -> Fraction:
     total = Fraction(0)
     for x in range(len(hl)):
         for y in (0, 1):
-            total += w[x][y] * _point_loss(kind, hl, succ, x, y)
+            if _point_loss(kind, hl, succ, x, y):
+                total += w[x][y]
     return total
 
 
@@ -113,11 +116,12 @@ def oracle_distance(g1, g2, H, marginal) -> Fraction:
     best = Fraction(0)
     for h in H:
         hl = _labels_of(h)
+        accepted = {x for x, label in enumerate(hl) if label == 1}
         total = Fraction(0)
         for x in range(len(m)):
-            c1 = _point_loss("component", hl, succ1, x, 0)
-            c2 = _point_loss("component", hl, succ2, x, 0)
-            total += m[x] * abs(c1 - c2)
+            # x has component loss under a graph when h rejects x and accepts a successor
+            if hl[x] == 0 and accepted.isdisjoint(succ1[x]) != accepted.isdisjoint(succ2[x]):
+                total += m[x]
         if total > best:
             best = total
     return best

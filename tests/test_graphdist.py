@@ -82,10 +82,16 @@ class TestGraphSample:
 
     @given(graph_sample_instances())
     def test_draws_carry_true_successor_sets(self, inst):
-        """Every drawn pair holds exactly the reference graph's successor set."""
+        """Every drawn pair holds the reference graph's own successor set
+        object, not a copy of it."""
         sc, S = inst
         nsets = sc.graph.neighbor_sets()
-        assert all(b == nsets[x] for x, b in S)
+        assert all(b is nsets[x] for x, b in S)
+
+    def test_other_target_collections_are_frozen(self):
+        S = GraphSample([0, 1], [[1], {0}], n_points=2)
+        assert S.bsets == (frozenset({1}), frozenset({0}))
+        assert all(type(b) is frozenset for b in S.bsets)
 
     def test_draw_validates_marginal(self):
         sc = gen_random(n_points=3, n_hypotheses=2, density=0.4, seed=5)
@@ -122,6 +128,14 @@ class TestGraphSampleFiles:
         path = tmp_path / "s.tsv"
         path.write_text("0\t1\nnot a row\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r":2:"):
+            read_graph_sample(path, n_points=2)
+
+    @pytest.mark.parametrize("line", ["2\t0", "0\t5", "1\t0,1"],
+                             ids=["point-out-of-range", "target-out-of-range", "self-target"])
+    def test_bad_records_are_rejected_on_read(self, tmp_path, line):
+        path = tmp_path / "s.tsv"
+        path.write_text(f"0\t1\n{line}\n", encoding="utf-8")
+        with pytest.raises(InvalidGraphSampleError, match=r":2: "):
             read_graph_sample(path, n_points=2)
 
     def test_malformed_line_is_a_package_error(self, tmp_path):

@@ -24,6 +24,7 @@ from strategia import (
     approximation_error,
     binary_loss,
     class_component_matrix,
+    class_social_burden,
     effective_hypothesis,
     expected_loss,
     empirical_loss,
@@ -62,6 +63,25 @@ def instances(draw):
     m = draw(st.integers(1, min(10, 1 << n)))
     density = draw(st.sampled_from([0.2, 0.4, 0.6]))
     return gen_random(n_points=n, n_hypotheses=m, density=density, seed=seed)
+
+
+@st.composite
+def burden_instances(draw):
+    """A sparse graph, a class whose first member rejects everything, and a
+    distribution with zero-weight cells, sometimes with no positive mass."""
+    n = draw(st.integers(1, 16))
+    adj = np.array(draw(st.lists(st.sampled_from([False, False, False, True]),
+                                 min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(adj, False)
+    g = ManipulationGraph.from_adjacency(FiniteDomain(n), adj)
+    rows = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=6))
+    H = HypothesisClass([Hypothesis([0] * n)] + [Hypothesis(r) for r in rows])
+    cells = draw(st.lists(st.integers(-3 * 10**5, 10**6).map(lambda v: max(v, 0)),
+                          min_size=2 * n, max_size=2 * n))
+    w = np.array(cells, dtype=float).reshape(n, 2)
+    if w.sum() == 0:
+        w[0, 0] = 1.0
+    return H, g, LabeledDistribution(w / w.sum())
 
 
 @st.composite
@@ -282,6 +302,37 @@ class TestSocialBurden:
         else:
             assert sb.numerator == pytest.approx(want_num, abs=1e-12)
             assert sb.conditional * pos == pytest.approx(sb.numerator, abs=1e-12)
+
+    @given(burden_instances())
+    def test_class_burden_matches_oracle_and_one_row(self, inst):
+        """Every member's class-level burden equals the one-row burden bit for
+        bit and the oracle's sequential numerator exactly; the member that
+        rejects everything is inf wherever there is positive mass."""
+        H, g, P = inst
+        if P.weights[:, 1].sum() == 0.0:
+            with pytest.raises(UndefinedBurdenError):
+                class_social_burden(H, P, g)
+            return
+        cond, num = class_social_burden(H, P, g)
+        assert cond.shape == num.shape == (len(H),)
+        assert not np.isnan(num).any()
+        assert math.isinf(num[0]) and math.isinf(cond[0])
+        for i, h in enumerate(H):
+            sb = social_burden(h, P, graph=g)
+            assert repr((sb.conditional, sb.numerator)) == repr((float(cond[i]), float(num[i])))
+            want_cond, want_num = oracles.oracle_social_burden(h, P, graph=g)
+            assert repr(float(num[i])) == repr(want_num)
+            assert cond[i] == pytest.approx(want_cond, rel=1e-12)
+
+    def test_unreachable_zero_weight_point_adds_nothing(self):
+        """Point 2 reaches no accepted point but carries no positive weight:
+        the burden stays finite and is not nan."""
+        g = ManipulationGraph(FiniteDomain(3), [(0, 1)])
+        P = LabeledDistribution([[0.0, 0.5], [0.0, 0.25], [0.25, 0.0]])
+        H = HypothesisClass([Hypothesis([0, 1, 0]), Hypothesis([1, 1, 0])])
+        cond, num = class_social_burden(H, P, g)
+        assert num.tolist() == [0.5, 0.0]
+        assert cond.tolist() == [0.5 / 0.75, 0.0]
 
 
 class TestClassMatrices:
