@@ -2,9 +2,9 @@
 
 Every experiment returns a ResultTable (the CSV payload) plus a list of
 CheckResults. Monte Carlo experiments map one kernel over a list of items,
-each carrying one seed derived from the master seed and a global trial
-index, and collect the results in item order, so the output is byte for
-byte identical regardless of the worker count.
+each a unit or a block of trials whose seeds derive from the master seed
+and global trial indices, and collect the results in item order, so the
+output is byte for byte identical regardless of the worker count.
 
 The canonical-instance experiments (example1, example2, obs1, thm3, thm4,
 thm5) construct their own scenarios; graph-learn and uniform-conv run on the
@@ -33,7 +33,16 @@ from .graphdist import (
     read_graph_sample,
     surrogate_bounds,
 )
-from .learners import draw_sample, erm, ic_erm, inverse_cdf, singleton_learner, trial_seed
+from .learners import (
+    _singleton_hypothesis,
+    cell_counts,
+    draw_sample,
+    erm,
+    ic_erm,
+    singleton_decisions,
+    singleton_learner,
+    trial_seed,
+)
 from .losses import (
     LossKind,
     class_component_matrix,
@@ -130,7 +139,7 @@ def _merge_params(name: str, params: Optional[dict], spec: dict, trials: Optiona
 def _run_seeded(kernel: Callable, shared, items: Sequence, workers: int) -> list:
     """Return kernel(shared, item) for every item, in item order.
 
-    Each item carries its own seed, so how the items are split over the
+    Each item carries its own seeds, so how the items are split over the
     process pool never changes a result.
     """
     if workers <= 1 or len(items) <= 1:
@@ -138,6 +147,27 @@ def _run_seeded(kernel: Callable, shared, items: Sequence, workers: int) -> list
     with ProcessPoolExecutor(max_workers=workers) as ex:
         chunk = max(1, math.ceil(len(items) / (4 * workers)))
         return list(ex.map(partial(kernel, shared), items, chunksize=chunk))
+
+
+# A block of trials draws at most this many uniforms (the largest thm4 item
+# at the benchmark's 500 trials) and holds at most _BLOCK_TRIALS trials.
+_BLOCK_DRAWS = 500 * 1600
+_BLOCK_TRIALS = 256
+
+
+def _trial_blocks(first: int, trials: int, n: int) -> list[tuple[int, int]]:
+    """(first trial index, trial count) of the blocks that cover trials
+    first .. first + trials - 1 of sample size n."""
+    size = max(1, min(_BLOCK_TRIALS, _BLOCK_DRAWS // n))
+    return [(t, min(size, first + trials - t)) for t in range(first, first + trials, size)]
+
+
+def _trial_uniforms(master: int, first: int, count: int, n: int) -> np.ndarray:
+    """count x n uniforms, row j from trial first + j's own generator."""
+    u = np.empty((count, n))
+    for j, row in enumerate(u):
+        np.random.Generator(np.random.PCG64(trial_seed(master, first + j))).random(out=row)
+    return u
 
 
 def describe_hypothesis(h: Hypothesis) -> str:
@@ -445,10 +475,18 @@ def _exp_obs1(spec, params, seed, workers) -> ExperimentResult:
 # thm3: sample complexity of the singleton learner
 
 
-def _thm3_trial(shared, t: int) -> bool:
-    P, kind, targets, eps, n, master = shared
-    learned = singleton_learner(draw_sample(P, n, trial_seed(master, t)), targets)
-    return expected_loss(kind, learned, P) > eps
+def _thm3_block(shared, item) -> int:
+    """How many trials of one block end with true loss above eps. The
+    learner's output is looked up in ``loss_by_point`` (the loss of the
+    singleton of each point, the all-zeros loss last)."""
+    targets, master, per_eps = shared
+    ei, first, count = item
+    P, cum, n, eps, loss_by_point = per_eps[ei]
+    counts = cell_counts(cum, _trial_uniforms(master, first, count, n))
+    accepted, broken = singleton_decisions(counts[:, 1::2] > 0, targets)
+    if broken.any():  # the scalar learner raises the RealizabilityError
+        singleton_learner(draw_sample(P, n, trial_seed(master, first + int(broken.argmax()))), targets)
+    return int((loss_by_point[accepted] > eps).sum())
 
 
 def _exp_thm3(spec, params, seed, workers) -> ExperimentResult:
@@ -473,13 +511,20 @@ def _exp_thm3(spec, params, seed, workers) -> ExperimentResult:
         dists = [obs1_distribution(d, target_j, eps) for eps in eps_values]
     except ValueError as e:
         raise ConfigError(f"experiment.params.target_j: {e}") from e
-    for ei, (eps, P) in enumerate(zip(eps_values, dists)):
-        n = math.ceil(math.log(1.0 / delta) / (2.0 * eps)) + slack
+    ns = [math.ceil(math.log(1.0 / delta) / (2.0 * eps)) + slack for eps in eps_values]
+    per_eps, items = [], []
+    for ei, (eps, n, P) in enumerate(zip(eps_values, ns, dists)):
+        loss_by_point = np.full(P.size + 1, np.nan)
+        for z in (*targets, -1):
+            loss_by_point[z] = expected_loss(kind, _singleton_hypothesis(P.size, z), P)
+        per_eps.append((P, np.cumsum(P.weights.ravel()), n, eps, loss_by_point))
+        items += [(ei, *block) for block in _trial_blocks(ei * trials, trials, n)]
+    fails = [0] * len(eps_values)
+    for (ei, _, _), f in zip(items, _run_seeded(_thm3_block, (targets, seed, per_eps), items, workers)):
+        fails[ei] += f
+    for eps, n, f in zip(eps_values, ns, fails):
         exact = (1.0 - 2.0 * eps) ** n
-        shared = (P, kind, targets, eps, n, seed)
-        trial_ids = range(ei * trials, (ei + 1) * trials)
-        fails = sum(_run_seeded(_thm3_trial, shared, trial_ids, workers))
-        rate = fails / trials
+        rate = f / trials
         table.append(eps, delta, n, exact, rate, trials)
         checks.append(
             _check(
@@ -507,11 +552,7 @@ def _thm4_erm_excess(shared, item) -> np.ndarray:
     instance; shared[instance] is (int64 loss tables, expected losses, cum)."""
     instance, n, trials, unit_seed = item
     tables, expected, cum = shared[instance]
-    rng = np.random.Generator(np.random.PCG64(unit_seed))
-    n_cells = cum.shape[0]
-    idx = inverse_cdf(cum, rng.random((trials, n)).ravel())
-    flat = np.repeat(np.arange(trials, dtype=np.int64), n) * n_cells + idx
-    counts = np.bincount(flat, minlength=trials * n_cells).reshape(trials, n_cells)
+    counts = cell_counts(cum, np.random.Generator(np.random.PCG64(unit_seed)).random((trials, n)))
     picks = (counts @ tables.T).argmin(axis=1)  # lowest index on ties, same rule as erm()
     return expected[picks] - expected.min()
 
@@ -722,17 +763,18 @@ def _exp_graph_learn(spec, params, seed, workers) -> ExperimentResult:
 # uniform-conv: empirical distances concentrate at the Monte Carlo rate
 
 
-def _uc_trial(shared, item) -> tuple[float, bool]:
-    """Largest true-vs-empirical distance gap in one sample of size n, and
-    whether the selected candidate is within the margin. diff is the
-    (candidates * members, points) int64 component mismatch matrix."""
+def _uc_block(shared, item) -> tuple[np.ndarray, np.ndarray]:
+    """Per trial of one block of samples of size n: the largest
+    true-vs-empirical distance gap, and whether the selected candidate is
+    within the margin. diff is the (candidates * members, points) int64
+    component mismatch matrix."""
     diff, true_d, cum, margin, master = shared
-    n, t = item
-    rng = np.random.Generator(np.random.PCG64(trial_seed(master, t)))
-    counts = np.bincount(inverse_cdf(cum, rng.random(n)), minlength=cum.shape[0])
-    per = (diff @ counts).reshape(true_d.shape[0], -1).max(axis=1) / n
-    li = int(per.argmin())  # lowest index on ties, same rule as graph_erm()
-    return float(np.abs(true_d - per).max()), bool(true_d[li] < per[li] + margin)
+    n, first, count = item
+    counts = cell_counts(cum, _trial_uniforms(master, first, count, n))
+    per = (counts @ diff.T).reshape(count, true_d.shape[0], -1).max(axis=2) / n
+    li = per.argmin(axis=1)  # lowest index on ties, same rule as graph_erm()
+    covered = true_d[li] < per[np.arange(count), li] + margin
+    return np.abs(true_d - per).max(axis=1), covered
 
 
 def _exp_uniform_conv(spec, params, seed, workers) -> ExperimentResult:
@@ -757,11 +799,13 @@ def _exp_uniform_conv(spec, params, seed, workers) -> ExperimentResult:
     margin = float(params["coverage_margin"])
     shared = (diff, true_d, np.cumsum(marginal), margin, seed)
     items = [
-        (n, _UC_BASE + n_i * trials + j) for n_i, n in enumerate(n_grid) for j in range(trials)
+        (n, *block)
+        for n_i, n in enumerate(n_grid)
+        for block in _trial_blocks(_UC_BASE + n_i * trials, trials, n)
     ]
-    results = _run_seeded(_uc_trial, shared, items, workers)
-    per_n_devs = np.array([r[0] for r in results]).reshape(len(n_grid), trials)
-    per_n_cov = np.array([r[1] for r in results]).reshape(len(n_grid), trials)
+    results = _run_seeded(_uc_block, shared, items, workers)
+    per_n_devs = np.concatenate([r[0] for r in results]).reshape(len(n_grid), trials)
+    per_n_cov = np.concatenate([r[1] for r in results]).reshape(len(n_grid), trials)
     table = ResultTable(("n", "median_deviation", "mean_deviation", "coverage", "trials"))
     medians = []
     for n_i, n in enumerate(n_grid):

@@ -46,12 +46,15 @@ from .learners import _argmin_with_ties, inverse_cdf
 BOUND_TOL = 1e-12
 
 
-def _check_record(x: int, bs: frozenset, n_points: int) -> None:
+def _check_record(x: int, bs: frozenset, n_points: int, targets_checked: bool = False) -> None:
+    """Point range, then target range (skipped when ``targets_checked``),
+    then no self-loop."""
     if not 0 <= x < n_points:
         raise InvalidGraphSampleError(f"point index {x} out of range")
-    for v in bs:
-        if not 0 <= v < n_points:
-            raise InvalidGraphSampleError(f"target index {v} out of range")
+    if not targets_checked:
+        for v in bs:
+            if not 0 <= v < n_points:
+                raise InvalidGraphSampleError(f"target index {v} out of range")
     if x in bs:
         raise InvalidGraphSampleError(f"observed target set of point {x} contains the point itself")
 
@@ -60,7 +63,8 @@ class GraphSample:
     """An ordered sequence of (point index, observed target set) pairs.
 
     A target set given as a frozenset is kept as it is, so a sample drawn
-    from a graph shares the graph's ``neighbor_sets()`` objects.
+    from a graph shares the graph's ``neighbor_sets()`` objects, and the
+    targets of each shared set object are range-checked once.
     """
 
     def __init__(self, xs, bsets: Sequence[frozenset], n_points: int):
@@ -68,9 +72,11 @@ class GraphSample:
         if xa.ndim != 1 or xa.size != len(bsets):
             raise InvalidGraphSampleError("xs and bsets must be equal-length 1-d sequences")
         frozen = []
+        checked = set()  # ids of set objects whose targets are in range; frozen keeps them alive
         for x, b in zip(xa, bsets):
             bs = b if isinstance(b, frozenset) else frozenset(int(v) for v in b)
-            _check_record(int(x), bs, n_points)
+            _check_record(int(x), bs, n_points, id(bs) in checked)
+            checked.add(id(bs))
             frozen.append(bs)
         xa.setflags(write=False)
         self.xs = xa

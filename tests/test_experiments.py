@@ -1,22 +1,40 @@
 """Tests for the experiment registry, evaluation tables, and VC tables."""
 
 import hashlib
+import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from strategia import cli
 from strategia.config import build_scenario
-from strategia.domain import Hypothesis
-from strategia.errors import ConfigError
+from strategia.domain import Hypothesis, LabeledDistribution
+from strategia.errors import ConfigError, RealizabilityError
 from strategia.experiments import (
+    _UC_BASE,
+    _run_seeded,
+    _thm3_block,
+    _trial_blocks,
     available_experiments,
     describe_hypothesis,
     eval_table,
     run_experiment,
     vc_table,
 )
+from strategia.graphdist import hpx_distance
+from strategia.learners import draw_sample, inverse_cdf, singleton_learner, trial_seed
+from strategia.losses import LossKind, class_component_matrix, expected_loss
 from strategia.results import ResultTable, format_value
-from strategia.scenarios import gen_component_case, gen_example2, gen_obs1, gen_random
+from strategia.scenarios import (
+    gen_component_case,
+    gen_example2,
+    gen_obs1,
+    gen_random,
+    obs1_distribution,
+)
 
 
 def column(table: ResultTable, name: str) -> list:
@@ -292,6 +310,121 @@ GOLDEN_EVAL_CSV_SHA256 = {
     True: "74d2915477c5294c356da845bba2e816ab73bd39daa29a1dd587ac783e94e262",
     False: "55bbaa5238c25ee5d78e098ba1dd336f6bc4d5355d268ed826ec750583f717d6",
 }
+
+
+def _thm3_rates_one_trial_at_a_time(params: dict, trials: int, seed: int) -> list[float]:
+    """thm3's observed failure rates from the scalar learner, one sample per trial."""
+    d, delta, slack = params["d"], params["delta"], params["slack"]
+    graph = gen_obs1(d).graph
+    targets = range(d, d + (1 << d))
+    rates = []
+    for ei, eps in enumerate(params["eps_values"]):
+        P = obs1_distribution(d, params["target_j"], eps)
+        n = math.ceil(math.log(1.0 / delta) / (2.0 * eps)) + slack
+        fails = 0
+        for t in range(ei * trials, (ei + 1) * trials):
+            learned = singleton_learner(draw_sample(P, n, trial_seed(seed, t)), targets)
+            fails += expected_loss(LossKind.strategic(graph), learned, P) > eps
+        rates.append(fails / trials)
+    return rates
+
+
+def _uc_columns_one_trial_at_a_time(n_grid: list, trials: int, seed: int, margin: float):
+    """uniform-conv's median and mean deviation and coverage per n, from one
+    bincount per trial."""
+    sc = build_scenario({"generator": "random", "params": {
+        "n_points": 10, "n_hypotheses": 8, "density": 0.3, "n_graphs": 5}}, seed)
+    H, truth, G = sc.hclass, sc.graph, sc.graph_class
+    marginal = sc.dist.marginal()
+    comp_truth = class_component_matrix(H, truth)
+    diff = np.concatenate([comp_truth != class_component_matrix(H, g) for g in G]).astype(np.int64)
+    true_d = np.array([hpx_distance(truth, g, H, marginal) for g in G])
+    cum = np.cumsum(marginal)
+    columns = []
+    for n_i, n in enumerate(n_grid):
+        devs, covs = [], []
+        for j in range(trials):
+            rng = np.random.Generator(np.random.PCG64(trial_seed(seed, _UC_BASE + n_i * trials + j)))
+            counts = np.bincount(inverse_cdf(cum, rng.random(n)), minlength=cum.shape[0])
+            per = (diff @ counts).reshape(len(G), -1).max(axis=1) / n
+            li = int(per.argmin())
+            devs.append(float(np.abs(true_d - per).max()))
+            covs.append(bool(true_d[li] < per[li] + margin))
+        devs = np.array(devs)
+        columns.append((float(np.median(devs)), float(devs.mean()), float(np.mean(covs))))
+    return columns
+
+
+class TestTrialBlocks:
+    """The block kernels equal a loop over one trial at a time. 300 trials
+    do not fill a whole number of 256-trial blocks, and the largest sample
+    sizes also cap a block by its draws."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("trials", [1, 300])
+    def test_thm3_blocks_equal_scalar_learner(self, trials, workers):
+        params = {"eps_values": [0.3, 0.0002], "delta": 0.5, "slack": 0, "d": 2, "target_j": 1}
+        got = run_experiment("thm3", params=params, trials=trials, seed=41, workers=workers)
+        want = _thm3_rates_one_trial_at_a_time(params, trials, 41)
+        assert column(got.table, "observed_failure_rate") == want
+        assert trials == 1 or 0 < min(want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("trials", [1, 300])
+    def test_uniform_conv_blocks_equal_scalar_trials(self, trials, workers):
+        n_grid = [20, 3300]
+        got = run_experiment("uniform-conv", params={"n_grid": n_grid}, trials=trials,
+                             seed=43, workers=workers).table
+        want = _uc_columns_one_trial_at_a_time(n_grid, trials, 43, 0.1)
+        assert list(zip(column(got, "median_deviation"), column(got, "mean_deviation"),
+                        column(got, "coverage"))) == want
+
+    def test_block_sizes(self):
+        assert _trial_blocks(10, 300, 20) == [(10, 256), (266, 44)]
+        assert _trial_blocks(0, 1, 3300) == [(0, 1)]
+        assert _trial_blocks(0, 500, 3300) == [(0, 242), (242, 242), (484, 16)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_thm3_block_raises_the_scalar_learners_error(self, workers):
+        # point 0 is negative, point 1 the one target, points 2..7 positive off-target
+        P = LabeledDistribution([[0.6, 0.0], [0.0, 0.1]] + [[0.0, 0.05]] * 6)
+        n, master, targets = 2, 77, (1,)
+        first_broken = None
+        for t in range(300):
+            try:
+                singleton_learner(draw_sample(P, n, trial_seed(master, t)), targets)
+            except RealizabilityError as e:
+                first_broken = (t, str(e))
+                break
+        assert first_broken is not None and first_broken[0] > 0
+        loss_by_point = np.zeros(P.size + 1)
+        shared = (targets, master, [(P, np.cumsum(P.weights.ravel()), n, 0.1, loss_by_point)])
+        items = [(0, *block) for block in _trial_blocks(0, 300, n)]
+        with pytest.raises(RealizabilityError, match=f"^{re.escape(first_broken[1])}$"):
+            _run_seeded(_thm3_block, shared, items, workers)
+
+
+class TestBenchmarkScaleDigests:
+    def test_monte_carlo_job_1000_matches_recorded_digests(self, tmp_path):
+        """The four monte-carlo calls of benchmark job seed 1000, through
+        cli.main at the benchmark's parameters and its 2 workers, write the
+        CSV bytes recorded in perfbench/digests.json."""
+        recorded = json.loads(
+            (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+        )
+        calls = {
+            "thm3": ("thm3", {"trials": 5000}),
+            "thm4": ("thm4", {"trials": 500}),
+            "thm5": ("thm5", {"draws": 2000, "n_points": 8, "n_hypotheses": 6, "density": 0.35}),
+            "uniform_conv": ("uniform-conv", {"trials": 2000}),
+        }
+        for kind, (name, params) in calls.items():
+            config, out = tmp_path / f"{kind}.json", tmp_path / f"{kind}.csv"
+            config.write_text(json.dumps({"seed": 1000, "experiment": {"name": name, "params": params}}))
+            assert cli.main(["experiment", "--config", str(config), "--out", str(out),
+                             "--workers", "2"]) == 0
+            digest = hashlib.sha256(out.read_text(encoding="utf-8").encode("utf-8")).hexdigest()
+            assert digest == recorded[f"monte-carlo/{kind}/1000"], kind
 
 
 class TestEvalGoldenDigests:

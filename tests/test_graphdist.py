@@ -101,6 +101,22 @@ class TestGraphSample:
             draw_graph_sample(np.array([0.5, 0.5]), sc.graph, 5, seed=0)
 
 
+class TestGraphSampleRecords:
+    def test_shared_target_set_is_checked_against_each_point(self):
+        """A set object seen before still fails the self-target check of a
+        later record."""
+        bs = frozenset({1})
+        with pytest.raises(InvalidGraphSampleError, match=r"^observed target set of point 1 "):
+            GraphSample([0, 1], [bs, bs], n_points=2)
+
+    def test_first_bad_record_raises(self):
+        ok, far = frozenset({1}), frozenset({5})
+        with pytest.raises(InvalidGraphSampleError, match=r"^target index 5 out of range$"):
+            GraphSample([0, 0, 7], [ok, far, ok], n_points=3)
+        with pytest.raises(InvalidGraphSampleError, match=r"^point index 7 out of range$"):
+            GraphSample([0, 7, 0], [ok, ok, far], n_points=3)
+
+
 class TestGraphSampleFiles:
     @given(graph_sample_instances())
     def test_round_trip_preserves_sample(self, tmp_path_factory, inst):

@@ -1,8 +1,10 @@
 """Tests for sampling, seed derivation, and empirical risk minimizers."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from strategia import (
     DomainMismatchError,
@@ -28,7 +30,7 @@ from strategia import (
     splitmix64,
     trial_seed,
 )
-from strategia.learners import inverse_cdf
+from strategia.learners import _GUIDE_BUCKETS, _guide_table, inverse_cdf, singleton_decisions
 from strategia.losses import effective_hypothesis
 from strategia import oracles
 
@@ -104,12 +106,83 @@ class TestDrawSample:
             draw_sample(P, -1, seed=0)
 
 
+def searchsorted_reference(cum, u):
+    return np.minimum(np.searchsorted(cum, u, side="right"), np.searchsorted(cum, cum[-1]))
+
+
+@st.composite
+def cdf_cases(draw):
+    """Cumulative weights of 1 to 8192 cells and a batch of uniforms in [0, 1)
+    large enough for the guide table: every bucket edge k / 2**12, every
+    cumulative weight and its neighbours, draws at or above cum[-1], and
+    random draws."""
+    n_cells = draw(st.integers(1, 8192))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dyadic = draw(st.booleans())
+    w = rng.integers(0, 3, n_cells).astype(float) if dyadic else rng.random(n_cells)
+    w[rng.random(n_cells) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0  # zero-weight cells
+    w[n_cells - draw(st.integers(0, min(3, n_cells - 1))):] = 0.0  # trailing zero weights
+    if not w.any():
+        w[0] = 1.0
+    if dyadic:  # multiples of 2**-12 while the total allows
+        w /= 2.0 ** max(12, math.ceil(math.log2(w.sum())))
+    else:  # totals at, below, and by rounding next to 1
+        w *= draw(st.sampled_from([1.0, 0.5, 1 - 2**-30])) / w.sum()
+    cum = np.cumsum(w)
+    edges = np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS
+    near = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+    top = np.nextafter(1.0, 0.0)
+    above = np.linspace(min(cum[-1], top), top, 5)
+    u = np.concatenate([edges, near[near < 1.0], above, rng.random(draw(st.integers(0, 3000)))])
+    return w, cum, u
+
+
 class TestInverseCdf:
     def test_never_lands_on_trailing_zero_weight_cells(self):
         """A uniform at or past the total maps to the last positive cell."""
         cum = np.cumsum([0.0, 0.25, 0.0, 0.75, 0.0, 0.0])
         u = np.array([0.0, 0.2, 0.25, 0.9, cum[-1], np.nextafter(cum[-1], 2.0)])
         assert inverse_cdf(cum, u).tolist() == [1, 1, 3, 3, 3, 3]
+
+    @settings(max_examples=60)
+    @given(cdf_cases())
+    def test_guide_table_path_equals_searchsorted(self, case):
+        """The guide-table path returns the binary search's cell for every
+        uniform and never a cell of zero weight."""
+        w, cum, u = case
+        assert u.size >= _GUIDE_BUCKETS and u.min() >= 0 and u.max() < 1  # the table path
+        want = searchsorted_reference(cum, u)
+        got = inverse_cdf(cum, u)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert (w[got] > 0).all()
+        assert np.array_equal(inverse_cdf(cum, u.reshape(1, -1)), want.reshape(1, -1))
+
+    @settings(max_examples=60)
+    @given(cdf_cases())
+    def test_guide_table_entries_hold_across_their_bucket(self, case):
+        """A table entry is the search result at both ends of its bucket, and
+        exactly the buckets with a cumulative weight strictly inside are
+        split: a weight on a bucket edge splits none."""
+        _, cum, _ = case
+        table = _guide_table(cum, np.searchsorted(cum, cum[-1]))
+        k = np.flatnonzero(table >= 0)
+        lo = k / _GUIDE_BUCKETS
+        hi = np.nextafter((k + 1) / _GUIDE_BUCKETS, 0.0)
+        assert np.array_equal(table[k], searchsorted_reference(cum, lo))
+        assert np.array_equal(table[k], searchsorted_reference(cum, hi))
+        scaled = cum * _GUIDE_BUCKETS  # exact
+        inside = scaled[(scaled < _GUIDE_BUCKETS) & (scaled != np.floor(scaled))]
+        assert np.flatnonzero(table < 0).tolist() == np.unique(np.floor(inside)).astype(int).tolist()
+
+    @pytest.mark.parametrize("extra", [1.0, 1.5, np.nan, -0.25])
+    def test_uniforms_outside_unit_interval_take_the_search(self, extra):
+        cum = np.cumsum([0.25, 0.0, 0.5, 0.25, 0.0])
+        u = np.append(np.random.default_rng(3).random(5000), extra)
+        assert np.array_equal(inverse_cdf(cum, u), searchsorted_reference(cum, u))
+
+    def test_single_cell(self):
+        u = np.random.default_rng(4).random(5000)
+        assert not inverse_cdf(np.array([1.0]), u).any()
 
 
 class TestErm:
@@ -213,6 +286,34 @@ class TestSingletonLearner:
         S = LabeledSample([0], [1], n_points=3)
         with pytest.raises(RealizabilityError):
             singleton_learner(S, targets=[2])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 30))
+    def test_is_the_one_row_view_of_singleton_decisions(self, seed, n_points, n):
+        """Every row of the batched decision equals the scalar learner on
+        that row's sample, realizability errors included."""
+        rng = np.random.default_rng(seed)
+        targets = rng.choice(n_points, rng.integers(1, n_points + 1), replace=False).tolist()
+        samples = [
+            LabeledSample(rng.integers(0, n_points, n), rng.random(n) < 0.15, n_points=n_points)
+            for _ in range(6)
+        ]
+        positive = np.array([S.counts()[:, 1] > 0 for S in samples])
+        accepted, broken = singleton_decisions(positive, targets)
+        for S, z, bad in zip(samples, accepted.tolist(), broken):
+            if bad:
+                with pytest.raises(RealizabilityError):
+                    singleton_learner(S, targets)
+                continue
+            h = singleton_learner(S, targets)
+            assert h.descriptor == (("singleton", z) if z >= 0 else ("constant", 0))
+            assert np.flatnonzero(h.labels).tolist() == ([z] if z >= 0 else [])
+
+    def test_realizability_messages(self):
+        S = LabeledSample([0, 2, 1, 2], [1, 1, 1, 0], n_points=4)
+        with pytest.raises(RealizabilityError, match=r"^positive labels on non-target points \[0, 1\]$"):
+            singleton_learner(S, targets=[2, 3])
+        with pytest.raises(RealizabilityError, match=r"^positive labels on 3 distinct targets: \[0, 1, 2\]$"):
+            singleton_learner(S, targets=[0, 1, 2])
 
     def test_rejects_two_distinct_positive_targets(self):
         S = LabeledSample([1, 2], [1, 1], n_points=3)
