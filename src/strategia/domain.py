@@ -88,13 +88,18 @@ class CostModel:
     fn: Callable[[int, int], float]
     gamma: float
 
-    def cost(self, i: int, j: int) -> float:
-        c = float(self.fn(i, j))
-        if not math.isfinite(c) or c < 0.0:
-            raise InvalidCostModelError(f"cost({i},{j}) = {c!r} is not finite nonnegative")
-        if i == j and c != 0.0:
+    def matrix(self, n: int) -> np.ndarray:
+        """The n x n costs, ``fn`` called once per ordered pair. The first
+        pair in row-major order that breaks the contract raises."""
+        C = np.array([[float(self.fn(i, j)) for j in range(n)] for i in range(n)])
+        bad = ~(np.isfinite(C) & (C >= 0.0)) | (np.eye(n, dtype=bool) & (C != 0.0))
+        if bad.any():
+            i, j = divmod(int(np.argmax(bad)), n)
+            c = float(C[i, j])
+            if not math.isfinite(c) or c < 0.0:
+                raise InvalidCostModelError(f"cost({i},{j}) = {c!r} is not finite nonnegative")
             raise InvalidCostModelError(f"cost({i},{i}) = {c!r}, expected 0")
-        return c
+        return C
 
 
 def coordinate_norm_cost(domain: FiniteDomain, p: float = 2.0) -> Callable[[int, int], float]:
@@ -184,20 +189,8 @@ class ManipulationGraph:
 def induce_graph(domain: FiniteDomain, cost_model: CostModel) -> ManipulationGraph:
     """Build the graph with an edge i -> j exactly when cost(i, j) <= gamma, i != j."""
     n = domain.size
-    adj = np.zeros((n, n), dtype=bool)
-    gamma = cost_model.gamma
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                cost_model.cost(i, j)  # still validates the zero-diagonal contract
-                continue
-            adj[i, j] = cost_model.cost(i, j) <= gamma
+    adj = (cost_model.matrix(n) <= cost_model.gamma) & ~np.eye(n, dtype=bool)
     return ManipulationGraph.from_adjacency(domain, adj)
-
-
-def neighbors(graph: ManipulationGraph, x: int) -> frozenset[int]:
-    """The successor set of x in the graph, as a frozenset of point indices."""
-    return graph.neighbor_sets()[x]
 
 
 def _freeze_labels(labels) -> np.ndarray:

@@ -4,7 +4,9 @@ When the deployed graph is unknown, a candidate graph can stand in for it.
 The pointwise graph loss charges a rejected point when the observed target
 set and the candidate's successor set disagree about whether an accepted
 point is reachable; summed against a class, this yields a distance between
-graphs under which strategic losses transfer with an additive penalty.
+graphs under which strategic losses transfer with an additive penalty. Its
+literal two-case form is ``oracles.oracle_graph_loss``; here it is only
+computed class-wide, by comparing two members x items component matrices.
 
 Samples here are (point, observed target set) pairs. Serialization is one
 record per line: point_index<TAB>comma-separated sorted neighbor indices,
@@ -36,9 +38,9 @@ from .errors import (
 )
 from .losses import (
     LossKind,
+    _component_rows,
     class_component_matrix,
-    component_vector,
-    expected_loss,
+    expected_rows,
     observed_component_matrix,
 )
 from .learners import _argmin_with_ties, inverse_cdf
@@ -172,59 +174,6 @@ class GraphClass:
         return f"GraphClass({len(self.graphs)} graphs over n={self.graphs[0].size})"
 
 
-def graph_loss(h: Hypothesis, candidate: ManipulationGraph, x: int, observed: frozenset) -> int:
-    """Pointwise disagreement loss at a rejected point.
-
-    Charged exactly when h(x) = 0 and precisely one of these holds:
-    (a) some observed target is accepted while no candidate successor is,
-    (b) no observed target is accepted while some candidate successor is.
-    Equivalently: 1{h(x)=0} * |accepted-in-observed - accepted-in-candidate|.
-    """
-    if h.size != candidate.size:
-        raise DomainMismatchError("hypothesis and graph domain sizes differ")
-    if h(x):
-        return 0
-    labels = h.labels
-    obs_hit = any(labels[int(b)] for b in observed)
-    cand_hit = bool((candidate.adj[x] & labels).any())
-    return int(obs_hit != cand_hit)
-
-
-def true_graph_loss(
-    h: Hypothesis,
-    candidate: ManipulationGraph,
-    marginal: np.ndarray,
-    reference: ManipulationGraph,
-) -> float:
-    """Expected graph loss when observed target sets come from the reference graph.
-
-    Equals the expected absolute difference of the component losses of h
-    under the reference and candidate graphs.
-    """
-    m = np.asarray(marginal, dtype=float)
-    if m.shape != (reference.size,):
-        raise DomainMismatchError("marginal length does not match graph size")
-    c_ref = component_vector(h, reference)
-    c_cand = component_vector(h, candidate)
-    return float(m @ (c_ref != c_cand))
-
-
-def empirical_graph_loss(
-    h: Hypothesis,
-    candidate: ManipulationGraph,
-    S: GraphSample,
-    normalized: bool = True,
-) -> float:
-    """Graph loss summed over sample items; mean by default, raw sum otherwise."""
-    if len(S) == 0:
-        raise EmptySampleError("empirical graph loss over an empty sample")
-    if h.size != S.n_points or candidate.size != S.n_points:
-        raise DomainMismatchError("sample domain size mismatch")
-    H = HypothesisClass([h])
-    hits = int(_graph_hits(H, candidate, _grouped_obs(H, S))[0])
-    return hits / len(S) if normalized else float(hits)
-
-
 def hpx_distance(
     g1: ManipulationGraph,
     g2: ManipulationGraph,
@@ -251,39 +200,6 @@ def hpx_distance(
     return float(per_member.max())
 
 
-def empirical_distance(
-    g1: ManipulationGraph,
-    g2: ManipulationGraph,
-    H: HypothesisClass,
-    S: GraphSample,
-    normalized: bool = True,
-    validate: bool = True,
-) -> float:
-    """Empirical counterpart of the distance on a sample drawn from g1.
-
-    The sample's observed target sets must come from g1; this precondition
-    is checked by default. Value: max over members of the (mean) graph loss
-    of g2 against the sample.
-    """
-    if len(H) == 0:
-        raise EmptyClassError("distance over an empty class")
-    if len(S) == 0:
-        raise EmptySampleError("empirical distance over an empty sample")
-    if validate:
-        nsets = g1.neighbor_sets()
-        for x, b in S:
-            if b != nsets[x]:
-                raise DomainMismatchError(
-                    f"sample target set at point {x} does not match the reference graph"
-                )
-    counts = np.bincount(S.xs, minlength=S.n_points)
-    c1 = class_component_matrix(H, g1)
-    c2 = class_component_matrix(H, g2)
-    per_member_hits = (c1 != c2).astype(np.int64) @ counts
-    best = int(per_member_hits.max())
-    return best / len(S) if normalized else float(best)
-
-
 def _grouped_obs(H: HypothesisClass, S: GraphSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct sample items: their points, multiplicities, and per-member
     observed-side component indicators (rejected point with an accepted
@@ -304,9 +220,8 @@ def empirical_sample_distance(
     candidate: ManipulationGraph,
     H: HypothesisClass,
     S: GraphSample,
-    normalized: bool = True,
 ) -> float:
-    """Largest, over members, (mean) graph loss of the candidate on the sample.
+    """Largest, over members, mean graph loss of the candidate on the sample.
 
     The sample's own observed target sets are the reference, so no reference
     graph is needed; graph ERM minimizes exactly this quantity.
@@ -317,8 +232,7 @@ def empirical_sample_distance(
         raise EmptySampleError("empirical distance over an empty sample")
     if candidate.size != S.n_points:
         raise DomainMismatchError("sample domain size mismatch")
-    best = int(_graph_hits(H, candidate, _grouped_obs(H, S)).max())
-    return best / len(S) if normalized else float(best)
+    return int(_graph_hits(H, candidate, _grouped_obs(H, S)).max()) / len(S)
 
 
 @dataclass(frozen=True)
@@ -406,12 +320,18 @@ def surrogate_bounds(
     """
     if H.index_of(h) is None:
         raise NotInClassError("hypothesis is not a member of the supplied class")
-    marginal = P.marginal()
-    true_strategic = expected_loss(LossKind.strategic(true_graph), h, P)
-    binary = expected_loss(LossKind.binary(), h, P)
-    surrogate_component = expected_loss(LossKind.component(candidate), h, P)
-    surrogate_strategic = expected_loss(LossKind.strategic(candidate), h, P)
-    distance = hpx_distance(true_graph, candidate, H, marginal)
+    labels = h.labels[None, :]
+    true_comp = _component_rows(labels, true_graph)
+    cand_comp = _component_rows(labels, candidate)
+
+    def expected(kind: LossKind, comp) -> float:
+        return float(expected_rows(kind, labels, comp, P)[0])
+
+    true_strategic = expected(LossKind.strategic(true_graph), true_comp)
+    binary = expected(LossKind.binary(), None)
+    surrogate_component = expected(LossKind.component(candidate), cand_comp)
+    surrogate_strategic = expected(LossKind.strategic(candidate), cand_comp)
+    distance = hpx_distance(true_graph, candidate, H, P.marginal())
     return SurrogateBoundReport(
         true_strategic=true_strategic,
         binary=binary,

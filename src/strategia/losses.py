@@ -1,6 +1,6 @@
-"""Pointwise and expected losses for classification under a manipulation graph.
+"""Expected and empirical losses for classification under a manipulation graph.
 
-Three pointwise losses:
+Three pointwise losses, whose literal definitions live in ``oracles``:
 
 * binary: h(x) != y.
 * strategic: charged when h(x) != y, or when h(x) = 0 and some successor of x
@@ -12,15 +12,16 @@ Three pointwise losses:
 The strategic loss is dominated pointwise by binary + component, which is
 what the surrogate bounds in graphdist build on.
 
-Class-level work has one representation, the members x points component
-matrix of ``class_component_matrix``. The same reach kernel, run on observed
-target sets instead of successor sets, gives the observed side of the graph
-loss; run hop by hop on members x points frontiers, it is the backward BFS
-of ``class_social_burden``, whose one-row view is ``social_burden``.
-``loss_cells`` derives the loss of every (point, label) cell from labels and
-component losses, for one row or a whole matrix. The one-row functions
-(``reach_positive``, ``component_vector``, ``loss_table``, the scalar
-losses) are plain specifications of the same quantities.
+All loss work goes through one representation, the rows x points component
+matrix of ``_component_rows``; ``class_component_matrix`` is that matrix for
+a whole class. The same reach kernel, run on observed target sets instead of
+successor sets, gives the observed side of the graph loss; run hop by hop on
+members x points frontiers, it is the backward BFS of
+``class_social_burden``. ``loss_cells`` derives the loss of every (point,
+label) cell from labels and component losses. The one-hypothesis functions
+(``expected_loss``, ``empirical_loss``, ``effective_hypothesis``,
+``is_incentive_compatible``, ``social_burden``) are views of the same
+kernels on a one-row matrix.
 """
 
 from __future__ import annotations
@@ -81,24 +82,6 @@ class LossKind:
         return f"LossKind({self.kind})"
 
 
-def _check_pair(h: Hypothesis, graph: ManipulationGraph) -> None:
-    if h.size != graph.size:
-        raise DomainMismatchError(
-            f"hypothesis over {h.size} points, graph over {graph.size}"
-        )
-
-
-def reach_positive(h: Hypothesis, graph: ManipulationGraph) -> np.ndarray:
-    """Boolean vector: point x has some successor labeled 1 by h."""
-    _check_pair(h, graph)
-    return (graph.adj & h.labels[None, :]).any(axis=1)
-
-
-def component_vector(h: Hypothesis, graph: ManipulationGraph) -> np.ndarray:
-    """Pointwise strategic component loss of h as a boolean vector."""
-    return ~h.labels & reach_positive(h, graph)
-
-
 def _reaches_accepted(L: np.ndarray, succ: np.ndarray) -> np.ndarray:
     """Members x rows: whether row r of the boolean successor matrix holds a
     point that the member accepts."""
@@ -108,12 +91,24 @@ def _reaches_accepted(L: np.ndarray, succ: np.ndarray) -> np.ndarray:
     return (L.astype(np.float32) @ succ.T.astype(np.float32)) > 0
 
 
-def class_component_matrix(H: HypothesisClass, graph: ManipulationGraph) -> np.ndarray:
-    """Component loss vectors for every member, shape (len(H), n)."""
-    L = H.labels_matrix()
+def _component_rows(L: np.ndarray, graph: ManipulationGraph) -> np.ndarray:
+    """Component losses of every row of a rows x points labels matrix: the
+    row rejects the point and accepts one of its successors."""
     if L.shape[1] != graph.size:
         raise DomainMismatchError("class and graph domain sizes differ")
     return ~L & _reaches_accepted(L, graph.adj)
+
+
+def class_component_matrix(H: HypothesisClass, graph: ManipulationGraph) -> np.ndarray:
+    """Component loss vectors for every member, shape (len(H), n)."""
+    return _component_rows(H.labels_matrix(), graph)
+
+
+def _one_row(kind: LossKind, h: Hypothesis) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """h's labels as a one-row matrix, and its component row unless the kind
+    is binary."""
+    labels = h.labels[None, :]
+    return labels, None if kind.kind == "binary" else _component_rows(labels, kind.graph)
 
 
 def observed_component_matrix(
@@ -128,19 +123,6 @@ def observed_component_matrix(
     return ~L[:, xs] & _reaches_accepted(L, succ)
 
 
-def binary_loss(h: Hypothesis, x: int, y: int) -> int:
-    return int(h(x) != y)
-
-
-def strategic_loss(h: Hypothesis, x: int, y: int, graph: ManipulationGraph) -> int:
-    return int(strategic_component_loss(h, x, graph) or h(x) != y)
-
-
-def strategic_component_loss(h: Hypothesis, x: int, graph: ManipulationGraph) -> int:
-    _check_pair(h, graph)
-    return int(h(x) == 0 and bool((graph.adj[x] & h.labels).any()))
-
-
 def loss_cells(kind: LossKind, labels: np.ndarray, comp: Optional[np.ndarray]) -> np.ndarray:
     """Loss of every (point, label) cell, shape labels.shape + (2,), from the
     acceptance labels and the component losses (unused by the binary kind).
@@ -151,13 +133,9 @@ def loss_cells(kind: LossKind, labels: np.ndarray, comp: Optional[np.ndarray]) -
         cells = (comp, comp)
     else:
         cells = (labels | comp, ~labels | comp)
-    return np.stack(cells, axis=-1)
-
-
-def loss_table(kind: LossKind, h: Hypothesis) -> np.ndarray:
-    """Pointwise loss of h on every (point, label) cell, shape (n, 2) uint8."""
-    comp = None if kind.kind == "binary" else component_vector(h, kind.graph)
-    return loss_cells(kind, h.labels, comp).astype(np.uint8)
+    out = np.empty(labels.shape + (2,), dtype=bool)  # np.stack costs more on one row
+    out[..., 0], out[..., 1] = cells
+    return out
 
 
 def class_loss_table(kind: LossKind, H: HypothesisClass) -> np.ndarray:
@@ -170,8 +148,14 @@ def expected_rows(
     kind: LossKind, labels: np.ndarray, comp: Optional[np.ndarray], P: LabeledDistribution
 ) -> np.ndarray:
     """Expected loss of every row of members x points labels and component
-    losses. Each row takes its own dot product, the reduction expected_loss
-    uses; a matrix-vector product may sum in another order."""
+    losses (unused by the binary kind). Each row takes its own dot product;
+    a matrix-vector product may sum in another order.
+
+    The component kind is an expectation over the point marginal only; the
+    label plays no role in it.
+    """
+    if labels.shape[1] != P.size:
+        raise DomainMismatchError("hypothesis and distribution domain sizes differ")
     if kind.kind == "component":
         w, rows = P.marginal(), comp
     else:
@@ -180,17 +164,9 @@ def expected_rows(
 
 
 def expected_loss(kind: LossKind, h: Hypothesis, P: LabeledDistribution) -> float:
-    """Exact expectation of the pointwise loss under P.
-
-    The component kind is an expectation over the point marginal only; the
-    label plays no role in it.
-    """
-    if h.size != P.size:
-        raise DomainMismatchError("hypothesis and distribution domain sizes differ")
-    if kind.kind == "component":
-        comp = component_vector(h, kind.graph)
-        return float(P.marginal() @ comp)
-    return float(P.weights.ravel() @ loss_table(kind, h).ravel())
+    """Exact expectation of the pointwise loss under P: the one-row view of
+    expected_rows."""
+    return float(expected_rows(kind, *_one_row(kind, h), P)[0])
 
 
 def empirical_loss(kind: LossKind, h: Hypothesis, S: LabeledSample) -> float:
@@ -199,7 +175,7 @@ def empirical_loss(kind: LossKind, h: Hypothesis, S: LabeledSample) -> float:
         raise EmptySampleError("empirical loss over an empty sample")
     if h.size != S.n_points:
         raise DomainMismatchError("hypothesis and sample domain sizes differ")
-    hits = int(S.counts().ravel() @ loss_table(kind, h).ravel())
+    hits = int(S.counts().ravel() @ loss_cells(kind, *_one_row(kind, h))[0].ravel())
     return hits / len(S)
 
 
@@ -210,12 +186,12 @@ def effective_hypothesis(h: Hypothesis, graph: ManipulationGraph) -> Hypothesis:
     successor h accepts (the agent moves there). No descriptor is carried
     over since the result is generally not in the original family.
     """
-    return Hypothesis(h.labels | reach_positive(h, graph))
+    return Hypothesis(h.labels | _component_rows(h.labels[None, :], graph)[0])
 
 
 def is_incentive_compatible(h: Hypothesis, graph: ManipulationGraph) -> bool:
     """True when no point has any incentive to move, i.e. component loss is 0 everywhere."""
-    return not component_vector(h, graph).any()
+    return not _component_rows(h.labels[None, :], graph).any()
 
 
 @dataclass(frozen=True)
@@ -290,19 +266,11 @@ def social_burden(
     if h.size != P.size:
         raise DomainMismatchError("hypothesis and distribution domain sizes differ")
     if cost_model is not None:
-        n = h.size
-        accepted = h.positives()
-        costs = np.full(n, math.inf)
-        for x in range(n):
-            for xp in accepted:
-                c = cost_model.cost(x, int(xp))
-                if c < costs[x]:
-                    costs[x] = c
+        costs = np.where(h.labels, cost_model.matrix(h.size), math.inf).min(axis=1)
         conditional, numerator = _burden_rows(costs[None, :], P)
     else:
         if graph is None:
             raise ValueError("social_burden needs a graph when no cost model is given")
-        _check_pair(h, graph)
         conditional, numerator = class_social_burden(HypothesisClass([h]), P, graph)
     return SocialBurden(conditional=float(conditional[0]), numerator=float(numerator[0]))
 
@@ -311,7 +279,5 @@ def approximation_error(H: HypothesisClass, P: LabeledDistribution, kind: LossKi
     """Least achievable expected loss over the class."""
     if len(H) == 0:
         raise EmptyClassError("approximation error over an empty class")
-    if H.members[0].size != P.size:
-        raise DomainMismatchError("class and distribution domain sizes differ")
     comp = None if kind.kind == "binary" else class_component_matrix(H, kind.graph)
     return float(expected_rows(kind, H.labels_matrix(), comp, P).min())

@@ -6,6 +6,11 @@ weights, which is exact). Nothing is shared with the production code paths:
 no loss tables, no bitmasks, no adjacency matrices beyond raw data
 extraction. Tests compare production values against these to 1e-12.
 
+This module also holds the pointwise specifications: the binary, strategic
+and component loss of one (point, label) cell (``_point_loss``,
+``oracle_loss_cells``) and the graph loss of one observation
+(``oracle_graph_loss``). The library itself computes losses only class-wide.
+
 Do not import from losses, vcdim, or graphdist here.
 """
 
@@ -46,6 +51,13 @@ def _point_loss(kind: str, hl: list[int], succ: Optional[list[set[int]]], x: int
     if kind == "strategic":
         return int(hl[x] != y or manipulated)
     raise ValueError(f"unknown kind {kind!r}")
+
+
+def oracle_loss_cells(h, kind: str, graph=None) -> list[list[int]]:
+    """Loss of h on every (point, label) cell as an n x 2 list of 0/1."""
+    hl = _labels_of(h)
+    succ = _succ_of(graph) if graph is not None else None
+    return [[_point_loss(kind, hl, succ, x, y) for y in (0, 1)] for x in range(len(hl))]
 
 
 def oracle_expected_loss(h, P, kind: str, graph=None) -> Fraction:

@@ -28,8 +28,6 @@ from .losses import (
     LossKind,
     class_component_matrix,
     class_loss_table,
-    component_vector,
-    loss_table,
     observed_component_matrix,
 )
 
@@ -95,13 +93,11 @@ def loss_set(h: Hypothesis, kind: LossKind) -> frozenset:
     """Ground elements charged by the loss for h.
 
     Binary and strategic kinds give subsets of (point, label) pairs; the
-    component kind gives a subset of points.
+    component kind gives a subset of points. The one-member view of
+    loss_class.
     """
-    if kind.kind == "component":
-        comp = component_vector(h, kind.graph)
-        return frozenset(int(x) for x in np.flatnonzero(comp))
-    table = loss_table(kind, h)
-    return frozenset((int(x), int(y)) for x, y in zip(*np.nonzero(table)))
+    system = loss_class(HypothesisClass([h]), kind)
+    return frozenset(system.ground[i] for i in system.sets[0])
 
 
 def pair_ground(n: int) -> tuple[tuple[int, int], ...]:

@@ -17,15 +17,16 @@ import pytest
 
 from strategia.cli import main
 from strategia.domain import HypothesisClass
-from strategia.graphdist import graph_loss, hpx_distance, empirical_sample_distance
+from strategia.graphdist import hpx_distance, empirical_sample_distance
 from strategia.learners import draw_sample, ic_erm, trial_seed
 from strategia.losses import (
     LossKind,
-    component_vector,
+    class_component_matrix,
     effective_hypothesis,
     empirical_loss,
     expected_loss,
     is_incentive_compatible,
+    observed_component_matrix,
 )
 from strategia.oracles import (
     oracle_distance,
@@ -34,6 +35,7 @@ from strategia.oracles import (
     oracle_empirical_loss,
     oracle_expected_loss,
     oracle_graph_loss,
+    oracle_loss_cells,
     oracle_true_graph_loss,
     oracle_vc,
 )
@@ -208,13 +210,18 @@ class TestCriterion08:
                 s = trial_seed(41_000_000, k)
                 sc = gen_random(6, 6, density=0.35, seed=int(s), n_graphs=2)
                 cand = sc.graph_class[k % 2]
-                nsets = sc.graph.neighbor_sets()
-                for h in sc.hclass:
-                    comp_true = component_vector(h, sc.graph)
-                    comp_cand = component_vector(h, cand)
-                    for x in range(sc.domain.size):
-                        want = abs(int(comp_true[x]) - int(comp_cand[x]))
-                        assert graph_loss(h, cand, x, nsets[x]) == want
+                xs = np.arange(sc.domain.size)
+                H = sc.hclass
+                losses = (
+                    observed_component_matrix(H, xs, sc.graph.neighbor_sets())
+                    != class_component_matrix(H, cand)
+                )
+                for h, row in zip(H, losses):
+                    comp_true = oracle_loss_cells(h, "component", graph=sc.graph)
+                    comp_cand = oracle_loss_cells(h, "component", graph=cand)
+                    for x in xs:
+                        want = abs(comp_true[x][0] - comp_cand[x][0])
+                        assert row[x] == want
                         checked += 1
             out["detail"] = f"{checked} (hypothesis, point) cells, all exact"
 
@@ -258,10 +265,10 @@ class TestCriterion10:
 
             # coordinate graph: the component set is the whole rejected set
             sc = gen_component_case("coordinate", grid=3)
-            for h in sc.hclass:
-                comp = component_vector(h, sc.graph)
+            comps = class_component_matrix(sc.hclass, sc.graph)
+            for h, comp in zip(sc.hclass, comps):
                 want = (~h.labels if h.labels.any() else np.zeros(9, dtype=bool))
-                assert np.array_equal(comp.astype(bool), want)
+                assert np.array_equal(comp, want)
 
             # norm-ball graph with planar halfspaces: component dimension <= 6
             sc = gen_component_case("ball", grid=4)
@@ -347,6 +354,12 @@ class TestCriterion11:
                 P, graph, H = sc.dist, sc.graph, sc.hclass
                 S = draw_sample(P, 30, trial_seed(s, 1))
                 GS = draw_graph_sample(P.marginal(), graph, 30, trial_seed(s, 2))
+                h_only = HypothesisClass([h])
+                xs, nsets = np.arange(5), graph.neighbor_sets()
+                losses = (
+                    observed_component_matrix(h_only, xs, nsets)
+                    != class_component_matrix(h_only, cand)
+                )[0]
                 diffs = [
                     expected_loss(LossKind.binary(), h, P)
                     - oracle_expected_loss(h, P, "binary"),
@@ -360,21 +373,11 @@ class TestCriterion11:
                     - oracle_distance(graph, cand, H, P.marginal()),
                     empirical_sample_distance(cand, H, GS)
                     - oracle_empirical_distance(cand, H, GS),
-                    sum(
-                        graph_loss(h, cand, x, graph.neighbor_sets()[x])
-                        - oracle_graph_loss(h, cand, x, graph.neighbor_sets()[x])
-                        for x in range(5)
-                    ),
+                    sum(int(losses[x]) - oracle_graph_loss(h, cand, x, nsets[x]) for x in xs),
                     oracle_true_graph_loss(h, cand, P.marginal(), graph)
-                    - sum(
-                        P.marginal()[x]
-                        * graph_loss(h, cand, x, graph.neighbor_sets()[x])
-                        for x in range(5)
-                    ),
+                    - hpx_distance(graph, cand, h_only, P.marginal()),
                     oracle_empirical_graph_loss(h, cand, GS)
-                    - float(
-                        np.mean([graph_loss(h, cand, x, b) for x, b in zip(GS.xs, GS.bsets)])
-                    ),
+                    - empirical_sample_distance(cand, h_only, GS),
                 ]
                 worst = max(worst, max(abs(d) for d in diffs))
             assert worst <= 1e-12

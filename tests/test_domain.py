@@ -22,7 +22,6 @@ from strategia import (
     explicit_class,
     halfspace_class,
     induce_graph,
-    neighbors,
     singleton_class,
     thresholds_class,
 )
@@ -107,11 +106,10 @@ class TestManipulationGraph:
 
     @given(graphs())
     def test_successor_views_agree(self, g):
-        """successors, neighbor_sets, and neighbors expose the same adjacency."""
+        """successors and neighbor_sets expose the same adjacency."""
         nsets = g.neighbor_sets()
         for x in range(g.size):
             assert frozenset(int(j) for j in g.successors(x)) == nsets[x]
-            assert neighbors(g, x) == nsets[x]
 
     @given(graphs())
     def test_edge_count_matches_edges(self, g):
@@ -153,6 +151,24 @@ class TestCostModels:
         dom = FiniteDomain(2, coords=[[0.0], [1.0]])
         with pytest.raises(InvalidCostModelError):
             induce_graph(dom, CostModel(lambda i, j: -1.0 if i != j else 0.0, gamma=1.0))
+
+    def test_cost_matrix_reports_the_first_bad_pair_in_row_major_order(self):
+        """fn is called once per ordered pair; the first pair in row-major
+        order that breaks the contract names the error, whichever rule it
+        breaks."""
+        calls = []
+        bad = {(0, 2): -1.0, (1, 0): float("nan"), (1, 1): 2.0, (2, 0): float("inf")}
+
+        def fn(i, j):
+            calls.append((i, j))
+            return bad.get((i, j), float(i != j))
+
+        with pytest.raises(InvalidCostModelError, match=r"^cost\(0,2\) = -1\.0 is not finite nonnegative$"):
+            CostModel(fn, gamma=1.0).matrix(3)
+        assert calls == [(i, j) for i in range(3) for j in range(3)]
+        del bad[(0, 2)], bad[(1, 0)]
+        with pytest.raises(InvalidCostModelError, match=r"^cost\(1,1\) = 2\.0, expected 0$"):
+            CostModel(fn, gamma=1.0).matrix(3)
 
 
 class TestHypothesis:

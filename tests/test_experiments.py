@@ -405,26 +405,48 @@ class TestTrialBlocks:
 
 
 class TestBenchmarkScaleDigests:
-    def test_monte_carlo_job_1000_matches_recorded_digests(self, tmp_path):
-        """The four monte-carlo calls of benchmark job seed 1000, through
-        cli.main at the benchmark's parameters and its 2 workers, write the
-        CSV bytes recorded in perfbench/digests.json."""
+    """Calls of benchmark job seed 1000, through cli.main at the benchmark's
+    parameters and worker counts, write the CSV bytes recorded in
+    perfbench/digests.json."""
+
+    @staticmethod
+    def _check(tmp_path, workload, calls, workers):
         recorded = json.loads(
             (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
         )
-        calls = {
+        for kind, command, cfg in calls:
+            config, out = tmp_path / f"{kind}.json", tmp_path / f"{kind}.csv"
+            config.write_text(json.dumps(cfg))
+            assert cli.main([command, "--config", str(config), "--out", str(out),
+                             "--workers", str(workers)]) == 0
+            digest = hashlib.sha256(out.read_text(encoding="utf-8").encode("utf-8")).hexdigest()
+            assert digest == recorded[f"{workload}/{kind}/1000"], kind
+
+    def test_monte_carlo_job_1000_matches_recorded_digests(self, tmp_path):
+        """The four monte-carlo calls at 2 workers."""
+        params = {
             "thm3": ("thm3", {"trials": 5000}),
             "thm4": ("thm4", {"trials": 500}),
             "thm5": ("thm5", {"draws": 2000, "n_points": 8, "n_hypotheses": 6, "density": 0.35}),
             "uniform_conv": ("uniform-conv", {"trials": 2000}),
         }
-        for kind, (name, params) in calls.items():
-            config, out = tmp_path / f"{kind}.json", tmp_path / f"{kind}.csv"
-            config.write_text(json.dumps({"seed": 1000, "experiment": {"name": name, "params": params}}))
-            assert cli.main(["experiment", "--config", str(config), "--out", str(out),
-                             "--workers", "2"]) == 0
-            digest = hashlib.sha256(out.read_text(encoding="utf-8").encode("utf-8")).hexdigest()
-            assert digest == recorded[f"monte-carlo/{kind}/1000"], kind
+        calls = [
+            (kind, "experiment", {"seed": 1000, "experiment": {"name": name, "params": p}})
+            for kind, (name, p) in params.items()
+        ]
+        self._check(tmp_path, "monte-carlo", calls, workers=2)
+
+    def test_exact_sparse_job_1000_matches_recorded_digests(self, tmp_path):
+        """The eval and graph-learn calls of exact-sparse at 1 worker."""
+        cfg = {
+            "scenario": {"generator": "random", "params": {
+                "n_points": 1000, "n_hypotheses": 100, "density": 0.01, "n_graphs": 4}},
+            "seed": 1000,
+            "eval": {"burden": True},
+            "graph_learn": {"sample_size": 10000, "labeled_sample_size": 10000},
+        }
+        calls = [("eval", "eval", cfg), ("graph_learn", "graph-learn", cfg)]
+        self._check(tmp_path, "exact-sparse", calls, workers=1)
 
 
 class TestEvalGoldenDigests:

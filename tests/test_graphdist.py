@@ -19,20 +19,17 @@ from strategia import (
     NotInClassError,
     StrategiaError,
     SurrogateBoundReport,
+    class_component_matrix,
     draw_graph_sample,
-    empirical_distance,
-    empirical_graph_loss,
     empirical_sample_distance,
     gen_random,
     graph_erm,
-    graph_loss,
     hpx_distance,
     read_graph_sample,
     surrogate_bounds,
-    true_graph_loss,
     write_graph_sample,
 )
-from strategia.losses import strategic_component_loss
+from strategia.losses import observed_component_matrix
 from strategia import oracles
 
 
@@ -161,6 +158,14 @@ class TestGraphSampleFiles:
             read_graph_sample(path, n_points=2)
 
 
+def graph_losses(h, cand, S):
+    """Graph loss of h and the candidate on every item of S, from the
+    class-level path on the one-member class."""
+    H = HypothesisClass([h])
+    obs = observed_component_matrix(H, S.xs, S.bsets)
+    return (obs != class_component_matrix(H, cand)[:, S.xs])[0]
+
+
 class TestGraphLoss:
     @given(graph_sample_instances(), st.integers(0, 7))
     def test_matches_component_difference_on_true_pairs(self, inst, pick):
@@ -168,12 +173,10 @@ class TestGraphLoss:
         sc, S = inst
         cand = list(sc.graph_class)[pick % len(sc.graph_class)]
         for h in sc.hclass:
-            for x, b in S:
-                want = abs(
-                    strategic_component_loss(h, x, sc.graph)
-                    - strategic_component_loss(h, x, cand)
-                )
-                assert graph_loss(h, cand, x, b) == want
+            comp_true = oracles.oracle_loss_cells(h, "component", graph=sc.graph)
+            comp_cand = oracles.oracle_loss_cells(h, "component", graph=cand)
+            for (x, b), loss in zip(S, graph_losses(h, cand, S)):
+                assert loss == abs(comp_true[x][0] - comp_cand[x][0])
 
     @given(graph_sample_instances(), st.integers(0, 7))
     def test_pointwise_matches_oracle(self, inst, pick):
@@ -181,8 +184,8 @@ class TestGraphLoss:
         sc, S = inst
         cand = list(sc.graph_class)[pick % len(sc.graph_class)]
         for h in sc.hclass:
-            for x, b in S:
-                assert graph_loss(h, cand, x, b) == oracles.oracle_graph_loss(h, cand, x, b)
+            for (x, b), loss in zip(S, graph_losses(h, cand, S)):
+                assert loss == oracles.oracle_graph_loss(h, cand, x, b)
 
     @given(scenarios_with_candidates(), st.integers(0, 7))
     def test_true_graph_loss_matches_oracle(self, sc, pick):
@@ -190,7 +193,8 @@ class TestGraphLoss:
         m = sc.dist.marginal()
         for h in sc.hclass:
             want = float(oracles.oracle_true_graph_loss(h, cand, m, sc.graph))
-            assert true_graph_loss(h, cand, m, sc.graph) == pytest.approx(want, abs=1e-12)
+            got = hpx_distance(sc.graph, cand, HypothesisClass([h]), m)
+            assert got == pytest.approx(want, abs=1e-12)
 
     @given(graph_sample_instances(), st.integers(0, 7))
     def test_empirical_graph_loss_matches_oracle(self, inst, pick):
@@ -198,7 +202,8 @@ class TestGraphLoss:
         cand = list(sc.graph_class)[pick % len(sc.graph_class)]
         for h in sc.hclass:
             want = float(oracles.oracle_empirical_graph_loss(h, cand, S))
-            assert empirical_graph_loss(h, cand, S) == pytest.approx(want, abs=1e-12)
+            got = empirical_sample_distance(cand, HypothesisClass([h]), S)
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestHpxDistance:
@@ -235,21 +240,11 @@ class TestHpxDistance:
 class TestEmpiricalDistance:
     @given(graph_sample_instances(), st.integers(0, 7))
     def test_matches_oracle_on_true_samples(self, inst, pick):
-        """Both empirical routes agree with the oracle on samples from the truth."""
+        """The empirical distance agrees with the oracle on samples from the truth."""
         sc, S = inst
         cand = list(sc.graph_class)[pick % len(sc.graph_class)]
         want = float(oracles.oracle_empirical_distance(cand, sc.hclass, S))
-        assert empirical_distance(sc.graph, cand, sc.hclass, S) == pytest.approx(want, abs=1e-12)
         assert empirical_sample_distance(cand, sc.hclass, S) == pytest.approx(want, abs=1e-12)
-
-    def test_validates_sample_against_reference(self):
-        sc = gen_random(n_points=3, n_hypotheses=2, density=0.4, seed=7)
-        bad = frozenset(range(sc.domain.size)) - {0} - sc.graph.neighbor_sets()[0]
-        S = GraphSample([0], [bad], n_points=sc.domain.size)
-        if bad != sc.graph.neighbor_sets()[0]:
-            with pytest.raises(DomainMismatchError):
-                empirical_distance(sc.graph, sc.graph, sc.hclass, S)
-        assert empirical_distance(sc.graph, sc.graph, sc.hclass, S, validate=False) >= 0.0
 
     def test_rejects_empty_sample(self):
         sc = gen_random(n_points=3, n_hypotheses=2, density=0.4, seed=7)

@@ -1,4 +1,4 @@
-"""Tests for pointwise losses, loss tables, expectations, and social burden."""
+"""Tests for loss tables, expectations, one-row views, and social burden."""
 
 import math
 from fractions import Fraction
@@ -22,7 +22,6 @@ from strategia import (
     ManipulationGraph,
     UndefinedBurdenError,
     approximation_error,
-    binary_loss,
     class_component_matrix,
     class_social_burden,
     effective_hypothesis,
@@ -33,19 +32,13 @@ from strategia import (
     graph_erm,
     hpx_distance,
     is_incentive_compatible,
+    loss_class,
     loss_set,
-    loss_table,
+    pair_ground,
     social_burden,
-    strategic_component_loss,
-    strategic_loss,
 )
-from strategia.losses import (
-    class_loss_table,
-    component_vector,
-    expected_rows,
-    observed_component_matrix,
-    reach_positive,
-)
+from strategia.learners import draw_sample
+from strategia.losses import class_loss_table, expected_rows, observed_component_matrix
 from strategia import oracles
 
 # exact per-threshold expectations for the four-point one-way chain at
@@ -91,38 +84,47 @@ def hypothesis_graph_pairs(draw):
     return h, sc.graph, sc.dist
 
 
+def kinds(g):
+    """(oracle name, LossKind) of the three loss kinds under graph g."""
+    return (
+        ("binary", LossKind.binary()),
+        ("strategic", LossKind.strategic(g)),
+        ("component", LossKind.component(g)),
+    )
+
+
+def one_member_tables(h, g):
+    """Binary, strategic and component loss tables of h as n x 2 int arrays,
+    from the class-level path on the one-member class."""
+    H = HypothesisClass([h])
+    return [class_loss_table(kind, H)[0].astype(int) for _, kind in kinds(g)]
+
+
 class TestPointwiseLosses:
     @given(hypothesis_graph_pairs())
     def test_strategic_dominated_by_binary_plus_component(self, pair):
         """Pointwise, the strategic loss never exceeds binary plus component."""
         h, g, _ = pair
+        tb, ts, tc = one_member_tables(h, g)
         for x in range(h.size):
-            comp = strategic_component_loss(h, x, g)
             for y in (0, 1):
-                assert strategic_loss(h, x, y, g) <= binary_loss(h, x, y) + comp
+                assert ts[x, y] <= tb[x, y] + tc[x, y]
 
     @given(hypothesis_graph_pairs())
     def test_strategic_charges_mistake_or_escape(self, pair):
         """Strategic loss is the OR of the binary mistake and the component escape."""
         h, g, _ = pair
+        tb, ts, tc = one_member_tables(h, g)
         for x in range(h.size):
-            comp = strategic_component_loss(h, x, g)
             for y in (0, 1):
-                assert strategic_loss(h, x, y, g) == max(binary_loss(h, x, y), comp)
+                assert ts[x, y] == max(tb[x, y], tc[x, y])
 
     @given(hypothesis_graph_pairs())
     def test_loss_table_matches_pointwise_calls(self, pair):
-        """loss_table cells equal the scalar loss functions everywhere."""
+        """Loss table cells equal the oracle's pointwise losses everywhere."""
         h, g, _ = pair
-        tb = loss_table(LossKind.binary(), h)
-        ts = loss_table(LossKind.strategic(g), h)
-        tc = loss_table(LossKind.component(g), h)
-        for x in range(h.size):
-            comp = strategic_component_loss(h, x, g)
-            for y in (0, 1):
-                assert tb[x, y] == binary_loss(h, x, y)
-                assert ts[x, y] == strategic_loss(h, x, y, g)
-                assert tc[x, y] == comp
+        for (name, _), table in zip(kinds(g), one_member_tables(h, g)):
+            assert table.tolist() == oracles.oracle_loss_cells(h, name, graph=g)
 
     @given(hypothesis_graph_pairs())
     def test_strategic_set_is_binary_set_plus_lifted_component(self, pair):
@@ -135,10 +137,10 @@ class TestPointwiseLosses:
     @given(hypothesis_graph_pairs())
     def test_component_needs_rejected_point_with_accepted_successor(self, pair):
         h, g, _ = pair
-        reach = reach_positive(h, g)
-        comp = component_vector(h, g)
+        comp = class_component_matrix(HypothesisClass([h]), g)[0]
+        nsets = g.neighbor_sets()
         for x in range(h.size):
-            assert comp[x] == (not h(x) and reach[x])
+            assert comp[x] == (not h(x) and any(h(j) for j in nsets[x]))
 
 
 class TestChainFixtures:
@@ -181,8 +183,6 @@ class TestExpectations:
     @given(hypothesis_graph_pairs(), st.integers(0, 2**32 - 1))
     def test_empirical_loss_matches_oracle(self, pair, seed):
         """Count-based empirical means agree with the per-item oracle."""
-        from strategia import draw_sample
-
         h, g, P = pair
         S = draw_sample(P, 25, seed=seed)
         for name, kind in (
@@ -285,23 +285,25 @@ class TestSocialBurden:
         assert sb.numerator == pytest.approx(0.5, abs=1e-12)
         assert sb.conditional == pytest.approx(0.5 / 0.75, abs=1e-12)
 
-    @given(hypothesis_graph_pairs())
-    def test_matches_oracle_and_normalization(self, pair):
-        """Burden agrees with the oracle and conditional * positive mass equals
-        the numerator whenever it is finite."""
+    @given(hypothesis_graph_pairs(), st.lists(st.integers(0, 4), min_size=49, max_size=49))
+    def test_matches_oracle_and_normalization(self, pair, cost_cells):
+        """Burden by hop counts and by a cost model agrees with the oracle, and
+        conditional * positive mass equals the numerator whenever it is finite."""
         h, g, P = pair
+        cm = CostModel(lambda i, j: 0.0 if i == j else 0.5 * cost_cells[7 * i + j], gamma=1.0)
         pos = float(P.weights[:, 1].sum())
-        try:
-            sb = social_burden(h, P, graph=g)
-        except UndefinedBurdenError:
-            assert pos == 0.0
-            return
-        want_cond, want_num = oracles.oracle_social_burden(h, P, graph=g)
-        if math.isinf(sb.numerator):
-            assert math.isinf(want_num)
-        else:
-            assert sb.numerator == pytest.approx(want_num, abs=1e-12)
-            assert sb.conditional * pos == pytest.approx(sb.numerator, abs=1e-12)
+        for route in ({"graph": g}, {"cost_model": cm}):
+            try:
+                sb = social_burden(h, P, **route)
+            except UndefinedBurdenError:
+                assert pos == 0.0
+                continue
+            want_cond, want_num = oracles.oracle_social_burden(h, P, **route)
+            if math.isinf(sb.numerator):
+                assert math.isinf(want_num)
+            else:
+                assert sb.numerator == pytest.approx(want_num, abs=1e-12)
+                assert sb.conditional * pos == pytest.approx(sb.numerator, abs=1e-12)
 
     @given(burden_instances())
     def test_class_burden_matches_oracle_and_one_row(self, inst):
@@ -338,15 +340,49 @@ class TestSocialBurden:
 class TestClassMatrices:
     @given(instances())
     def test_class_rows_equal_the_one_row_specifications(self, sc):
-        """Every class-level matrix row equals its one-row function, and the
-        class-level expectations equal expected_loss exactly."""
+        """Every class-level loss table row, and every component matrix row,
+        equals the oracle's pointwise losses cell for cell."""
+        H, g = sc.hclass, sc.graph
+        for name, kind in kinds(g):
+            want = [oracles.oracle_loss_cells(h, name, graph=g) for h in H]
+            assert class_loss_table(kind, H).astype(int).tolist() == want
+        want = [[c for c, _ in oracles.oracle_loss_cells(h, "component", graph=g)] for h in H]
+        assert class_component_matrix(H, g).astype(int).tolist() == want
+
+    @given(instances(), st.integers(0, 2**32 - 1))
+    def test_one_row_views_equal_class_rows(self, sc, seed):
+        """Each one-hypothesis function gives member i exactly what row i of
+        its class-level counterpart holds."""
         H, P, g = sc.hclass, sc.dist, sc.graph
         L, comp = H.labels_matrix(), class_component_matrix(H, g)
-        np.testing.assert_array_equal(comp, np.stack([component_vector(h, g) for h in H]))
-        for kind in (LossKind.binary(), LossKind.strategic(g), LossKind.component(g)):
-            rows = np.stack([loss_table(kind, h) for h in H]).astype(bool)
-            np.testing.assert_array_equal(class_loss_table(kind, H), rows)
-            assert expected_rows(kind, L, comp, P).tolist() == [expected_loss(kind, h, P) for h in H]
+        S = draw_sample(P, 25, seed=seed)
+        n = g.size
+        for _, kind in kinds(g):
+            expected = expected_rows(kind, L, comp, P)
+            rows = class_loss_table(kind, H).reshape(len(H), -1)
+            hits = rows.astype(np.int64) @ S.counts().ravel()
+            if kind.kind == "component":
+                rows, ground = comp, tuple(range(n))
+            else:
+                ground = pair_ground(n)
+            sets = []
+            for i, h in enumerate(H):
+                assert expected_loss(kind, h, P) == expected[i]
+                assert empirical_loss(kind, h, S) == int(hits[i]) / len(S)
+                sets.append(loss_set(h, kind))
+                assert sets[-1] == frozenset(ground[j] for j in np.flatnonzero(rows[i]))
+            system = loss_class(H, kind)
+            assert set(sets) == {frozenset(system.ground[j] for j in s) for s in system.sets}
+        ic = ~comp.any(axis=1)
+        for i, h in enumerate(H):
+            np.testing.assert_array_equal(effective_hypothesis(h, g).labels, L[i] | comp[i])
+            assert is_incentive_compatible(h, g) == ic[i]
+        if P.weights[:, 1].sum() == 0.0:
+            return
+        cond, num = class_social_burden(H, P, g)
+        for i, h in enumerate(H):
+            sb = social_burden(h, P, graph=g)
+            assert repr((sb.conditional, sb.numerator)) == repr((float(cond[i]), float(num[i])))
 
     @given(instances())
     def test_observed_true_successor_sets_give_the_component_matrix(self, sc):
@@ -380,7 +416,10 @@ class TestWideSuccessorSets:
     @pytest.mark.parametrize("leaves", [256, 512])
     def test_class_matrix_and_distance_match_oracle(self, leaves):
         dom, star, empty, H = self._star(leaves)
-        rows = np.stack([component_vector(h, star) for h in H])
+        rows = np.array(
+            [[c for c, _ in oracles.oracle_loss_cells(h, "component", graph=star)] for h in H],
+            dtype=bool,
+        )
         assert rows[0, 0] and rows[2, 0]
         np.testing.assert_array_equal(class_component_matrix(H, star), rows)
         marginal = np.full(dom.size, 1.0 / dom.size)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from strategia.domain import constant_class
 from strategia.errors import InvalidDistributionError
-from strategia.losses import LossKind, expected_loss, loss_table
+from strategia.losses import LossKind, class_loss_table, expected_loss
 from strategia.scenarios import (
     gen_component_case,
     gen_example1,
@@ -220,5 +220,5 @@ class TestGenRandom:
 
     def test_loss_table_runs_on_generated_scenario(self):
         sc = gen_random(5, 5, seed=9)
-        table = loss_table(LossKind.strategic(sc.graph), sc.hclass[0])
+        table = class_loss_table(LossKind.strategic(sc.graph), sc.hclass)[0]
         assert table.shape == (5, 2)

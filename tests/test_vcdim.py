@@ -21,7 +21,6 @@ from strategia import (
     is_shattered,
     loss_class,
     loss_set,
-    loss_table,
     pair_ground,
     trial_seed,
     vc_dimension,
@@ -85,12 +84,12 @@ class TestSetSystem:
 
     @given(random_scenarios())
     def test_loss_set_matches_loss_table(self, sc):
-        """loss_set contains exactly the cells the table charges."""
+        """loss_set contains exactly the cells the oracle's loss table charges."""
         g = sc.graph
         for h in sc.hclass:
-            for kind in (LossKind.binary(), LossKind.strategic(g)):
-                table = loss_table(kind, h)
-                want = {(x, y) for x in range(h.size) for y in (0, 1) if table[x, y]}
+            for name, kind in (("binary", LossKind.binary()), ("strategic", LossKind.strategic(g))):
+                table = oracles.oracle_loss_cells(h, name, graph=g)
+                want = {(x, y) for x in range(h.size) for y in (0, 1) if table[x][y]}
                 assert loss_set(h, kind) == want
 
 
