@@ -26,6 +26,7 @@ from .config import _expect, _expect_int, _expect_number, _expect_str, _type_nam
 from .domain import Hypothesis, HypothesisClass, LabeledDistribution, ManipulationGraph
 from .errors import ConfigError, UndefinedBurdenError
 from .graphdist import (
+    _surrogate_chain,
     draw_graph_sample,
     empirical_sample_distance,
     graph_erm,
@@ -56,6 +57,7 @@ from .losses import (
 from .results import ResultTable
 from .scenarios import (
     Scenario,
+    _random_arrays,
     gen_example1,
     gen_example2,
     gen_obs1,
@@ -149,15 +151,16 @@ def _run_seeded(kernel: Callable, shared, items: Sequence, workers: int) -> list
         return list(ex.map(partial(kernel, shared), items, chunksize=chunk))
 
 
-# A block of trials draws at most this many uniforms (the largest thm4 item
-# at the benchmark's 500 trials) and holds at most _BLOCK_TRIALS trials.
+# A block holds at most _BLOCK_TRIALS trials of n values each and at most
+# _BLOCK_DRAWS values (the largest thm4 item at the benchmark's 500 trials):
+# n uniforms per sample, or n instance-array entries per thm5 draw.
 _BLOCK_DRAWS = 500 * 1600
 _BLOCK_TRIALS = 256
 
 
 def _trial_blocks(first: int, trials: int, n: int) -> list[tuple[int, int]]:
     """(first trial index, trial count) of the blocks that cover trials
-    first .. first + trials - 1 of sample size n."""
+    first .. first + trials - 1 of n values each."""
     size = max(1, min(_BLOCK_TRIALS, _BLOCK_DRAWS // n))
     return [(t, min(size, first + trials - t)) for t in range(first, first + trials, size)]
 
@@ -602,7 +605,7 @@ def _exp_thm4(spec, params, seed, workers) -> ExperimentResult:
     for inst_i, sc in enumerate(instances):
         strategic = LossKind.strategic(sc.graph)
         L, comp = sc.hclass.labels_matrix(), class_component_matrix(sc.hclass, sc.graph)
-        tables = loss_cells(strategic, L, comp).reshape(len(L), -1).astype(np.int64)
+        tables = loss_cells("strategic", L, comp).reshape(len(L), -1).astype(np.int64)
         expected = expected_rows(strategic, L, comp, sc.dist)
         shared.append((tables, expected, np.cumsum(sc.dist.weights.ravel())))
         for n_i, n in enumerate(n_grid):
@@ -639,18 +642,33 @@ def _exp_thm4(spec, params, seed, workers) -> ExperimentResult:
 # thm5: the loss-transfer chain on random instances
 
 
-def _thm5_draw(shared, k: int) -> tuple:
-    """One table row: the surrogate chain of member k on random instance k."""
+def _thm5_block(shared, item) -> list[tuple]:
+    """Table rows of one block of draws. Draw k is the surrogate chain of
+    member k % n_hypotheses on the random instance that
+    gen_random(seed=trial_seed(master, _THM5_BASE + k), n_graphs=1) builds,
+    drawn from that generator by the same array drawer."""
     n_points, n_hypotheses, density, master = shared
-    sc = gen_random(n_points, n_hypotheses, density,
-                    seed=trial_seed(master, _THM5_BASE + k), n_graphs=1)
-    h_i = k % len(sc.hclass)
-    rep = surrogate_bounds(sc.hclass[h_i], sc.graph, sc.graph2, sc.hclass, sc.dist)
-    return (
-        k, h_i, rep.true_strategic, rep.binary, rep.surrogate_component,
-        rep.surrogate_strategic, rep.distance, rep.upper1, rep.upper2,
-        rep.lower, rep.lower_tight, rep.min_slack(),
+    first, count = item
+    ks = range(first, first + count)
+    drawn = [
+        _random_arrays(np.random.Generator(np.random.PCG64(trial_seed(master, _THM5_BASE + k))),
+                       n_points, n_hypotheses, density, n_graphs=1)
+        for k in ks
+    ]
+    members = [k % n_hypotheses for k in ks]
+    reports = _surrogate_chain(
+        np.stack([d.labels for d in drawn]),
+        np.stack([d.adj for d in drawn]),
+        np.stack([d.candidates[0] for d in drawn]),
+        np.stack([d.weights for d in drawn]),
+        members,
     )
+    return [
+        (k, h_i, rep.true_strategic, rep.binary, rep.surrogate_component,
+         rep.surrogate_strategic, rep.distance, rep.upper1, rep.upper2,
+         rep.lower, rep.lower_tight, rep.min_slack())
+        for k, h_i, rep in zip(ks, members, reports)
+    ]
 
 
 def _exp_thm5(spec, params, seed, workers) -> ExperimentResult:
@@ -664,8 +682,10 @@ def _exp_thm5(spec, params, seed, workers) -> ExperimentResult:
          "surrogate_strategic", "distance", "upper1", "upper2", "lower",
          "lower_tight", "min_slack")
     )
-    shared = (int(params["n_points"]), int(params["n_hypotheses"]), float(params["density"]), seed)
-    rows = _run_seeded(_thm5_draw, shared, range(draws), workers)
+    n_points, n_hypotheses = int(params["n_points"]), int(params["n_hypotheses"])
+    shared = (n_points, n_hypotheses, float(params["density"]), seed)
+    items = _trial_blocks(0, draws, n_points * (n_points + n_hypotheses))
+    rows = [row for block in _run_seeded(_thm5_block, shared, items, workers) for row in block]
     for row in rows:
         table.append(*row)
     worst = min(row[-1] for row in rows)

@@ -7,6 +7,8 @@ point is reachable; summed against a class, this yields a distance between
 graphs under which strategic losses transfer with an additive penalty. Its
 literal two-case form is ``oracles.oracle_graph_loss``; here it is only
 computed class-wide, by comparing two members x items component matrices.
+The loss transfer chain runs batched over a stack of draws (draws x members
+x points); ``surrogate_bounds`` is its one-draw view.
 
 Samples here are (point, observed target set) pairs. Serialization is one
 record per line: point_index<TAB>comma-separated sorted neighbor indices,
@@ -37,10 +39,9 @@ from .errors import (
     NotInClassError,
 )
 from .losses import (
-    LossKind,
     _component_rows,
+    _expected,
     class_component_matrix,
-    expected_rows,
     observed_component_matrix,
 )
 from .learners import _argmin_with_ties, inverse_cdf
@@ -194,10 +195,14 @@ def hpx_distance(
     m = np.asarray(marginal, dtype=float)
     if m.shape != (g1.size,):
         raise DomainMismatchError("marginal length does not match graph size")
-    c1 = class_component_matrix(H, g1)
-    c2 = class_component_matrix(H, g2)
-    per_member = (c1 != c2).astype(float) @ m
-    return float(per_member.max())
+    return float(_class_distance(class_component_matrix(H, g1), class_component_matrix(H, g2), m))
+
+
+def _class_distance(c1: np.ndarray, c2: np.ndarray, marginal: np.ndarray) -> np.ndarray:
+    """Largest, over members, marginal mass on which two members x points
+    component matrices differ; stacked over leading axes. Each stacked item
+    is one matrix-vector product, summing as the unstacked one does."""
+    return ((c1 != c2).astype(float) @ marginal[..., None])[..., 0].max(axis=-1)
 
 
 def _grouped_obs(H: HypothesisClass, S: GraphSample) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,6 +311,47 @@ class SurrogateBoundReport:
         )
 
 
+def _surrogate_chain(
+    L: np.ndarray,
+    true_adj: np.ndarray,
+    cand_adj: np.ndarray,
+    weights: np.ndarray,
+    members: Sequence[int],
+) -> list[SurrogateBoundReport]:
+    """The loss transfer chain of a stack of draws. Draw b is member
+    members[b] of the class whose draws x members x points labels are L,
+    under the true and candidate adjacency (draws x points x points) and
+    the (draws, points, 2) cell weights. Each class-level component matrix
+    is computed once, and every report checks its chain."""
+    draws = np.arange(len(L))
+    true_comp = _component_rows(L, true_adj)
+    cand_comp = _component_rows(L, cand_adj)
+    h = L[draws, members][:, None, :]
+    true_h = true_comp[draws, members][:, None, :]
+    cand_h = cand_comp[draws, members][:, None, :]
+    columns = zip(
+        _expected("strategic", h, true_h, weights)[:, 0].tolist(),
+        _expected("binary", h, None, weights)[:, 0].tolist(),
+        _expected("component", h, cand_h, weights)[:, 0].tolist(),
+        _expected("strategic", h, cand_h, weights)[:, 0].tolist(),
+        _class_distance(true_comp, cand_comp, weights.sum(axis=-1)).tolist(),
+    )
+    return [
+        SurrogateBoundReport(
+            true_strategic=true_strategic,
+            binary=binary,
+            surrogate_component=surrogate_component,
+            surrogate_strategic=surrogate_strategic,
+            distance=distance,
+            upper1=binary + surrogate_component + distance,
+            upper2=2.0 * surrogate_strategic + distance,
+            lower=0.5 * surrogate_strategic - distance,
+            lower_tight=0.5 * surrogate_strategic - 0.5 * distance,
+        )
+        for true_strategic, binary, surrogate_component, surrogate_strategic, distance in columns
+    ]
+
+
 def surrogate_bounds(
     h: Hypothesis,
     true_graph: ManipulationGraph,
@@ -313,33 +359,19 @@ def surrogate_bounds(
     H: HypothesisClass,
     P: LabeledDistribution,
 ) -> SurrogateBoundReport:
-    """Evaluate the loss transfer chain for h with the candidate as surrogate.
+    """Evaluate the loss transfer chain for h with the candidate as surrogate:
+    the one-draw view of the batched chain.
 
     h must belong to H: the distance term is a supremum over the class, so
     the chain is only guaranteed for members.
     """
-    if H.index_of(h) is None:
+    i = H.index_of(h)
+    if i is None:
         raise NotInClassError("hypothesis is not a member of the supplied class")
-    labels = h.labels[None, :]
-    true_comp = _component_rows(labels, true_graph)
-    cand_comp = _component_rows(labels, candidate)
-
-    def expected(kind: LossKind, comp) -> float:
-        return float(expected_rows(kind, labels, comp, P)[0])
-
-    true_strategic = expected(LossKind.strategic(true_graph), true_comp)
-    binary = expected(LossKind.binary(), None)
-    surrogate_component = expected(LossKind.component(candidate), cand_comp)
-    surrogate_strategic = expected(LossKind.strategic(candidate), cand_comp)
-    distance = hpx_distance(true_graph, candidate, H, P.marginal())
-    return SurrogateBoundReport(
-        true_strategic=true_strategic,
-        binary=binary,
-        surrogate_component=surrogate_component,
-        surrogate_strategic=surrogate_strategic,
-        distance=distance,
-        upper1=binary + surrogate_component + distance,
-        upper2=2.0 * surrogate_strategic + distance,
-        lower=0.5 * surrogate_strategic - distance,
-        lower_tight=0.5 * surrogate_strategic - 0.5 * distance,
-    )
+    if true_graph.size != h.size or candidate.size != h.size:
+        raise DomainMismatchError("class and graph domain sizes differ")
+    if P.size != h.size:
+        raise DomainMismatchError("hypothesis and distribution domain sizes differ")
+    return _surrogate_chain(
+        H.labels_matrix()[None], true_graph.adj[None], candidate.adj[None], P.weights[None], [i]
+    )[0]

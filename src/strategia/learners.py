@@ -166,7 +166,7 @@ def performative_erm(H: HypothesisClass, S: LabeledSample, graph: ManipulationGr
     """
     _check_erm_inputs(H, S)
     effective = H.labels_matrix() | class_component_matrix(H, graph)
-    return _fewest_hits(H, S, loss_cells(LossKind.binary(), effective, None))
+    return _fewest_hits(H, S, loss_cells("binary", effective, None))
 
 
 def ic_erm(H: HypothesisClass, S: LabeledSample, graph: ManipulationGraph) -> LearnerOutput:
@@ -175,7 +175,7 @@ def ic_erm(H: HypothesisClass, S: LabeledSample, graph: ManipulationGraph) -> Le
     feasible = np.flatnonzero(~class_component_matrix(H, graph).any(axis=1))
     if feasible.size == 0:
         raise NoIncentiveCompatibleError("class has no incentive compatible member for this graph")
-    cells = loss_cells(LossKind.binary(), H.labels_matrix()[feasible], None)
+    cells = loss_cells("binary", H.labels_matrix()[feasible], None)
     return _fewest_hits(H, S, cells, feasible)
 
 

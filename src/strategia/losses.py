@@ -84,31 +84,32 @@ class LossKind:
 
 def _reaches_accepted(L: np.ndarray, succ: np.ndarray) -> np.ndarray:
     """Members x rows: whether row r of the boolean successor matrix holds a
-    point that the member accepts."""
+    point that the member accepts. Both may be stacked over leading axes."""
     # The float32 product is exact in any summation order: every partial sum
     # counts at most n accepted successors, FiniteDomain caps n at
     # MAX_DENSE_POINTS = 4096, and float32 holds every integer below 2**24.
-    return (L.astype(np.float32) @ succ.T.astype(np.float32)) > 0
+    return (L.astype(np.float32) @ np.swapaxes(succ, -1, -2).astype(np.float32)) > 0
 
 
-def _component_rows(L: np.ndarray, graph: ManipulationGraph) -> np.ndarray:
-    """Component losses of every row of a rows x points labels matrix: the
-    row rejects the point and accepts one of its successors."""
-    if L.shape[1] != graph.size:
+def _component_rows(L: np.ndarray, adj: np.ndarray) -> np.ndarray:
+    """Component losses of every row of a rows x points labels matrix under
+    the graph of adjacency adj: the row rejects the point and accepts one of
+    its successors. Both may be stacked over leading axes."""
+    if L.shape[-1] != adj.shape[-1]:
         raise DomainMismatchError("class and graph domain sizes differ")
-    return ~L & _reaches_accepted(L, graph.adj)
+    return ~L & _reaches_accepted(L, adj)
 
 
 def class_component_matrix(H: HypothesisClass, graph: ManipulationGraph) -> np.ndarray:
     """Component loss vectors for every member, shape (len(H), n)."""
-    return _component_rows(H.labels_matrix(), graph)
+    return _component_rows(H.labels_matrix(), graph.adj)
 
 
 def _one_row(kind: LossKind, h: Hypothesis) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """h's labels as a one-row matrix, and its component row unless the kind
     is binary."""
     labels = h.labels[None, :]
-    return labels, None if kind.kind == "binary" else _component_rows(labels, kind.graph)
+    return labels, None if kind.kind == "binary" else _component_rows(labels, kind.graph.adj)
 
 
 def observed_component_matrix(
@@ -123,13 +124,14 @@ def observed_component_matrix(
     return ~L[:, xs] & _reaches_accepted(L, succ)
 
 
-def loss_cells(kind: LossKind, labels: np.ndarray, comp: Optional[np.ndarray]) -> np.ndarray:
+def loss_cells(kind: str, labels: np.ndarray, comp: Optional[np.ndarray]) -> np.ndarray:
     """Loss of every (point, label) cell, shape labels.shape + (2,), from the
     acceptance labels and the component losses (unused by the binary kind).
-    Both may be one row or a members x points matrix."""
-    if kind.kind == "binary":
+    kind is a LossKind's name; labels and comp may be one row, a members x
+    points matrix or a stack of them."""
+    if kind == "binary":
         cells = (labels, ~labels)
-    elif kind.kind == "component":
+    elif kind == "component":
         cells = (comp, comp)
     else:
         cells = (labels | comp, ~labels | comp)
@@ -141,26 +143,36 @@ def loss_cells(kind: LossKind, labels: np.ndarray, comp: Optional[np.ndarray]) -
 def class_loss_table(kind: LossKind, H: HypothesisClass) -> np.ndarray:
     """Pointwise loss of every member on every cell, shape (len(H), n, 2) bool."""
     comp = None if kind.kind == "binary" else class_component_matrix(H, kind.graph)
-    return loss_cells(kind, H.labels_matrix(), comp)
+    return loss_cells(kind.kind, H.labels_matrix(), comp)
+
+
+def _expected(
+    kind: str, labels: np.ndarray, comp: Optional[np.ndarray], weights: np.ndarray
+) -> np.ndarray:
+    """Expected loss of every row of rows x points labels and component
+    losses under (points, 2) cell weights, all stacked alike over leading
+    axes. Each row takes its own dot product, a 1 x K by K x 1 item of one
+    stacked product; a matrix-vector product may sum in another order.
+
+    The component kind is an expectation over the point marginal only; the
+    label plays no role in it.
+    """
+    if kind == "component":
+        w, rows = weights.sum(axis=-1), comp
+    else:
+        w = weights.reshape(weights.shape[:-2] + (-1,))
+        rows = loss_cells(kind, labels, comp).reshape(labels.shape[:-1] + (-1,))
+    return (w[..., None, None, :] @ rows[..., None].astype(float))[..., 0, 0]
 
 
 def expected_rows(
     kind: LossKind, labels: np.ndarray, comp: Optional[np.ndarray], P: LabeledDistribution
 ) -> np.ndarray:
-    """Expected loss of every row of members x points labels and component
-    losses (unused by the binary kind). Each row takes its own dot product;
-    a matrix-vector product may sum in another order.
-
-    The component kind is an expectation over the point marginal only; the
-    label plays no role in it.
-    """
+    """Expected loss under P of every row of members x points labels and
+    component losses (unused by the binary kind)."""
     if labels.shape[1] != P.size:
         raise DomainMismatchError("hypothesis and distribution domain sizes differ")
-    if kind.kind == "component":
-        w, rows = P.marginal(), comp
-    else:
-        w, rows = P.weights.ravel(), loss_cells(kind, labels, comp).reshape(len(labels), -1)
-    return np.array([w @ row for row in rows])
+    return _expected(kind.kind, labels, comp, P.weights)
 
 
 def expected_loss(kind: LossKind, h: Hypothesis, P: LabeledDistribution) -> float:
@@ -175,7 +187,7 @@ def empirical_loss(kind: LossKind, h: Hypothesis, S: LabeledSample) -> float:
         raise EmptySampleError("empirical loss over an empty sample")
     if h.size != S.n_points:
         raise DomainMismatchError("hypothesis and sample domain sizes differ")
-    hits = int(S.counts().ravel() @ loss_cells(kind, *_one_row(kind, h))[0].ravel())
+    hits = int(S.counts().ravel() @ loss_cells(kind.kind, *_one_row(kind, h))[0].ravel())
     return hits / len(S)
 
 
@@ -186,12 +198,12 @@ def effective_hypothesis(h: Hypothesis, graph: ManipulationGraph) -> Hypothesis:
     successor h accepts (the agent moves there). No descriptor is carried
     over since the result is generally not in the original family.
     """
-    return Hypothesis(h.labels | _component_rows(h.labels[None, :], graph)[0])
+    return Hypothesis(h.labels | _component_rows(h.labels[None, :], graph.adj)[0])
 
 
 def is_incentive_compatible(h: Hypothesis, graph: ManipulationGraph) -> bool:
     """True when no point has any incentive to move, i.e. component loss is 0 everywhere."""
-    return not _component_rows(h.labels[None, :], graph).any()
+    return not _component_rows(h.labels[None, :], graph.adj).any()
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -177,22 +177,31 @@ def _uniform_cell_dist(n: int) -> LabeledDistribution:
 
 def _distinct_random_labels(
     rng: np.random.Generator, n: int, m: int, exclude_zero: bool = False
-) -> list[np.ndarray]:
-    rows: list[np.ndarray] = []
+) -> np.ndarray:
+    """m distinct random labelings over n points, as an m x n boolean matrix.
+
+    The first m candidate rows come from one draw; each rejected one (a
+    repeat, or all zeros under exclude_zero) is replaced by one-row draws.
+    Every value takes one 32-bit output of the generator, so the stream is
+    the same as drawing row by row. After 1000 * m candidate rows it gives up.
+    """
+    first = rng.integers(0, 2, (m, n)).astype(bool)
+    out = np.empty((m, n), dtype=bool)
     seen: set[bytes] = set()
-    attempts = 0
-    while len(rows) < m:
-        attempts += 1
-        if attempts > 1000 * m:
+    kept = attempts = 0
+    while kept < m:
+        if attempts == 1000 * m:
             raise ValueError(f"could not draw {m} distinct labelings over {n} points")
-        row = rng.integers(0, 2, n).astype(bool)
+        row = first[attempts] if attempts < m else rng.integers(0, 2, n).astype(bool)
+        attempts += 1
         if exclude_zero and not row.any():
             continue
         key = row.tobytes()
         if key not in seen:
             seen.add(key)
-            rows.append(row)
-    return rows
+            out[kept] = row
+            kept += 1
+    return out
 
 
 def gen_component_case(which: str, **params) -> Scenario:
@@ -309,10 +318,64 @@ def _reject_extra(params: dict) -> None:
         raise ValueError(f"unknown parameters: {sorted(params)}")
 
 
-def _random_graph(rng: np.random.Generator, domain: FiniteDomain, density: float) -> ManipulationGraph:
-    adj = rng.random((domain.size, domain.size)) < density
-    np.fill_diagonal(adj, False)
-    return ManipulationGraph.from_adjacency(domain, adj)
+# How many uniforms _random_adjacency draws and compares at a time (whole
+# rows, at least one). They are drawn in the same order either way; the small
+# float buffer keeps the peak memory of a large instance near that of its
+# boolean matrices.
+_ADJACENCY_CHUNK = 1 << 16
+
+
+def _random_adjacency(rng: np.random.Generator, n: int, density: float) -> np.ndarray:
+    adj = np.empty((n, n), dtype=bool)
+    rows = max(1, _ADJACENCY_CHUNK // n)
+    for i in range(0, n, rows):
+        adj[i:i + rows] = rng.random((min(rows, n - i), n)) < density
+    adj.flat[:: n + 1] = False  # the diagonal: no self-loops
+    return adj
+
+
+class _RandomArrays(NamedTuple):
+    coords: Optional[np.ndarray]
+    adj: np.ndarray
+    labels: np.ndarray
+    weights: np.ndarray
+    candidates: list[np.ndarray]
+
+
+def _random_arrays(
+    rng: np.random.Generator,
+    n_points: int,
+    n_hypotheses: int,
+    density: float,
+    n_graphs: int = 0,
+    coord_dim: int = 0,
+) -> _RandomArrays:
+    """Every array of a gen_random instance, drawn from rng in this order:
+    coordinates (None without coord_dim), the true adjacency, the distinct
+    labelings (n_hypotheses x n_points), the (n_points, 2) weights summing
+    to 1, and the distinct candidate adjacencies (their densities vary
+    around the true one)."""
+    if n_hypotheses > (1 << n_points):
+        raise ValueError("more hypotheses than dichotomies")
+    coords = rng.random((n_points, coord_dim)) if coord_dim > 0 else None
+    adj = _random_adjacency(rng, n_points, density)
+    labels = _distinct_random_labels(rng, n_points, n_hypotheses)
+    weights = rng.random((n_points, 2))
+    weights /= weights.sum()
+    candidates: list[np.ndarray] = []
+    seen: set[bytes] = set()
+    attempts = 0
+    while len(candidates) < n_graphs:
+        attempts += 1
+        if attempts > 1000 * n_graphs:
+            raise ValueError("could not draw distinct candidate graphs")
+        d = float(rng.uniform(max(0.05, density - 0.2), min(0.95, density + 0.2)))
+        a = _random_adjacency(rng, n_points, d)
+        key = a.tobytes()
+        if key not in seen:
+            seen.add(key)
+            candidates.append(a)
+    return _RandomArrays(coords, adj, labels, weights, candidates)
 
 
 def gen_random(
@@ -329,35 +392,17 @@ def gen_random(
     densities vary around the true one) and graph2 is its first member. All
     draws come from a single PCG64 stream, so instances are reproducible.
     """
-    if n_hypotheses > (1 << n_points):
-        raise ValueError("more hypotheses than dichotomies")
     rng = np.random.Generator(np.random.PCG64(seed))
-    coords = rng.random((n_points, coord_dim)) if coord_dim > 0 else None
-    domain = FiniteDomain(n_points, coords)
-    graph = _random_graph(rng, domain, density)
-    rows = _distinct_random_labels(rng, n_points, n_hypotheses)
-    hclass = HypothesisClass([Hypothesis(r) for r in rows], domain)
-    weights = rng.random((n_points, 2))
-    weights /= weights.sum()
-    dist = LabeledDistribution(weights, domain)
+    drawn = _random_arrays(rng, n_points, n_hypotheses, density, n_graphs, coord_dim)
+    domain = FiniteDomain(n_points, drawn.coords)
+    graph = ManipulationGraph.from_adjacency(domain, drawn.adj)
+    hclass = HypothesisClass([Hypothesis(r) for r in drawn.labels], domain)
+    dist = LabeledDistribution(drawn.weights, domain)
     graph_class = None
     graph2 = None
     if n_graphs > 0:
-        graphs: list[ManipulationGraph] = []
-        seen: set[bytes] = set()
-        attempts = 0
-        while len(graphs) < n_graphs:
-            attempts += 1
-            if attempts > 1000 * n_graphs:
-                raise ValueError("could not draw distinct candidate graphs")
-            d = float(rng.uniform(max(0.05, density - 0.2), min(0.95, density + 0.2)))
-            g = _random_graph(rng, domain, d)
-            key = g.adj.tobytes()
-            if key not in seen:
-                seen.add(key)
-                graphs.append(g)
-        graph_class = GraphClass(graphs)
-        graph2 = graphs[0]
+        graph_class = GraphClass([ManipulationGraph.from_adjacency(domain, a) for a in drawn.candidates])
+        graph2 = graph_class[0]
     return Scenario(
         domain, graph, hclass, dist, graph2=graph2, graph_class=graph_class,
         provenance=(

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strategia import cli
+from strategia import cli, graphdist, oracles
 from strategia.config import build_scenario
 from strategia.domain import Hypothesis, LabeledDistribution
-from strategia.errors import ConfigError, RealizabilityError
+from strategia.errors import BoundViolationError, ConfigError, RealizabilityError
 from strategia.experiments import (
+    _THM5_BASE,
     _UC_BASE,
     _run_seeded,
     _thm3_block,
@@ -24,7 +25,7 @@ from strategia.experiments import (
     run_experiment,
     vc_table,
 )
-from strategia.graphdist import hpx_distance
+from strategia.graphdist import hpx_distance, surrogate_bounds
 from strategia.learners import draw_sample, inverse_cdf, singleton_learner, trial_seed
 from strategia.losses import LossKind, class_component_matrix, expected_loss
 from strategia.results import ResultTable, format_value
@@ -402,6 +403,97 @@ class TestTrialBlocks:
         items = [(0, *block) for block in _trial_blocks(0, 300, n)]
         with pytest.raises(RealizabilityError, match=f"^{re.escape(first_broken[1])}$"):
             _run_seeded(_thm3_block, shared, items, workers)
+
+
+class TestThm5Blocks:
+    """thm5 runs seeded blocks of up to 256 draws through one batched
+    surrogate chain; every row is what the one-draw path gives: gen_random
+    on the draw's own seed, then surrogate_bounds."""
+
+    @staticmethod
+    def _instance(k, seed, n_points=8, n_hypotheses=6, density=0.35):
+        return gen_random(n_points, n_hypotheses, density,
+                          seed=trial_seed(seed, _THM5_BASE + k), n_graphs=1)
+
+    def test_rows_do_not_depend_on_block_boundaries(self):
+        """257 draws end one row into the second block; 600 fill two blocks
+        and part of a third."""
+        short = run_experiment("thm5", params={"draws": 257}, seed=23).table.to_csv_text()
+        long = run_experiment("thm5", params={"draws": 600}, seed=23).table.to_csv_text()
+        assert long.splitlines(keepends=True)[:258] == short.splitlines(keepends=True)
+        assert long.count("\n") == 601
+
+    def test_worker_count_does_not_change_csv_across_blocks(self):
+        kw = dict(params={"draws": 600}, seed=29)
+        a = run_experiment("thm5", workers=1, **kw)
+        b = run_experiment("thm5", workers=2, **kw)
+        assert a.table.rows == b.table.rows
+        assert a.table.to_csv_text() == b.table.to_csv_text()
+
+    @staticmethod
+    def _one_product_per_row(h, sc):
+        """The chain's five terms over the oracle's loss cells, each as one
+        dot product of a row, and the distance as one matrix-vector product."""
+        w, marginal = sc.dist.weights.ravel(), sc.dist.marginal()
+
+        def cells(member, kind, graph=None):
+            return np.array(oracles.oracle_loss_cells(member, kind, graph=graph), dtype=float)
+
+        def comp(member, graph):
+            return np.array([c for c, _ in oracles.oracle_loss_cells(member, "component", graph=graph)])
+
+        mismatch = np.array([comp(g, sc.graph) != comp(g, sc.graph2) for g in sc.hclass])
+        return [
+            float(w @ cells(h, "strategic", sc.graph).ravel()),
+            float(w @ cells(h, "binary").ravel()),
+            float(marginal @ comp(h, sc.graph2).astype(float)),
+            float(w @ cells(h, "strategic", sc.graph2).ravel()),
+            float((mismatch.astype(float) @ marginal).max()),
+        ]
+
+    @pytest.mark.parametrize("n_points", [5, 8, 12])
+    def test_rows_equal_surrogate_bounds_and_oracles(self, n_points):
+        """Equal to surrogate_bounds and to one product per row, and within
+        1e-12 of the exact rational oracles."""
+        rows = run_experiment("thm5", params={"draws": 200, "n_points": n_points}, seed=31).table.rows
+        assert len(rows) == 200
+        for k, member, *values in rows:
+            sc = self._instance(k, 31, n_points)
+            h = sc.hclass[member]
+            assert member == k % len(sc.hclass)
+            rep = surrogate_bounds(h, sc.graph, sc.graph2, sc.hclass, sc.dist)
+            assert values == [
+                rep.true_strategic, rep.binary, rep.surrogate_component,
+                rep.surrogate_strategic, rep.distance, rep.upper1, rep.upper2,
+                rep.lower, rep.lower_tight, rep.min_slack(),
+            ]
+            assert values[:5] == self._one_product_per_row(h, sc)
+            want = [
+                oracles.oracle_expected_loss(h, sc.dist, "strategic", sc.graph),
+                oracles.oracle_expected_loss(h, sc.dist, "binary"),
+                oracles.oracle_expected_loss(h, sc.dist, "component", sc.graph2),
+                oracles.oracle_expected_loss(h, sc.dist, "strategic", sc.graph2),
+                oracles.oracle_distance(sc.graph, sc.graph2, sc.hclass, sc.dist.marginal()),
+            ]
+            assert values[:5] == pytest.approx([float(v) for v in want], rel=0, abs=1e-12)
+
+    def test_raises_the_error_of_the_lowest_failing_draw(self, monkeypatch):
+        """A negative tolerance fails the draws whose slack is below it; the
+        block path raises what surrogate_bounds raises on the first of them."""
+        seed = 37
+        slack = column(run_experiment("thm5", params={"draws": 600}, seed=seed).table, "min_slack")
+        ranked = sorted(set(slack))
+        cut = (ranked[2] + ranked[3]) / 2
+        failing = [k for k, v in enumerate(slack) if v < cut]
+        assert len(failing) == 3 and failing[-1] >= 256
+        monkeypatch.setattr(graphdist, "BOUND_TOL", -cut)
+        with pytest.raises(BoundViolationError) as first:
+            for k in range(600):
+                sc = self._instance(k, seed)
+                surrogate_bounds(sc.hclass[k % len(sc.hclass)], sc.graph, sc.graph2, sc.hclass, sc.dist)
+        assert k == failing[0]
+        with pytest.raises(BoundViolationError, match=f"^{re.escape(str(first.value))}$"):
+            run_experiment("thm5", params={"draws": 600}, seed=seed)
 
 
 class TestBenchmarkScaleDigests:

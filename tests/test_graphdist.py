@@ -30,7 +30,7 @@ from strategia import (
     write_graph_sample,
 )
 from strategia.losses import observed_component_matrix
-from strategia import oracles
+from strategia import losses, oracles
 
 
 @st.composite
@@ -332,6 +332,34 @@ class TestSurrogateBounds:
         if sc.hclass.index_of(outside) is None:
             with pytest.raises(NotInClassError):
                 surrogate_bounds(outside, sc.graph, sc.graph, sc.hclass, sc.dist)
+
+    def test_reads_h_from_two_class_matrices(self, monkeypatch):
+        """One reach product per graph, over the whole class: h's component
+        rows are rows of the class matrices that the distance compares."""
+        sc = gen_random(n_points=8, n_hypotheses=6, density=0.35, seed=4, n_graphs=1)
+        want = surrogate_bounds(sc.hclass[2], sc.graph, sc.graph2, sc.hclass, sc.dist)
+        shapes = []
+        reaches = losses._reaches_accepted
+
+        def counted(L, succ):
+            shapes.append(L.shape)
+            return reaches(L, succ)
+
+        monkeypatch.setattr(losses, "_reaches_accepted", counted)
+        got = surrogate_bounds(sc.hclass[2], sc.graph, sc.graph2, sc.hclass, sc.dist)
+        assert shapes == [(1, 6, 8), (1, 6, 8)]
+        assert got == want
+
+    def test_rejects_mismatched_domains(self):
+        sc = gen_random(n_points=4, n_hypotheses=2, density=0.4, seed=3, n_graphs=1)
+        other = gen_random(n_points=5, n_hypotheses=2, density=0.4, seed=3, n_graphs=1)
+        h = sc.hclass[0]
+        with pytest.raises(DomainMismatchError, match="graph"):
+            surrogate_bounds(h, sc.graph, other.graph, sc.hclass, sc.dist)
+        with pytest.raises(DomainMismatchError, match="graph"):
+            surrogate_bounds(h, other.graph, sc.graph, sc.hclass, sc.dist)
+        with pytest.raises(DomainMismatchError, match="distribution"):
+            surrogate_bounds(h, sc.graph, sc.graph2, sc.hclass, other.dist)
 
     def test_report_rejects_broken_chain(self):
         with pytest.raises(BoundViolationError):

@@ -9,6 +9,7 @@ from strategia.domain import constant_class
 from strategia.errors import InvalidDistributionError
 from strategia.losses import LossKind, class_loss_table, expected_loss
 from strategia.scenarios import (
+    _distinct_random_labels,
     gen_component_case,
     gen_example1,
     gen_example2,
@@ -222,3 +223,70 @@ class TestGenRandom:
         sc = gen_random(5, 5, seed=9)
         table = class_loss_table(LossKind.strategic(sc.graph), sc.hclass)[0]
         assert table.shape == (5, 2)
+
+
+def _labels_row_by_row(rng, n, m, exclude_zero=False):
+    """The former drawer, kept as the reference: one n-value draw per
+    candidate row, from the first row on."""
+    rows, seen, attempts = [], set(), 0
+    while len(rows) < m:
+        attempts += 1
+        if attempts > 1000 * m:
+            raise ValueError(f"could not draw {m} distinct labelings over {n} points")
+        row = rng.integers(0, 2, n).astype(bool)
+        if exclude_zero and not row.any():
+            continue
+        key = row.tobytes()
+        if key not in seen:
+            seen.add(key)
+            rows.append(row)
+    return rows
+
+
+def _pcg(seed):
+    return np.random.Generator(np.random.PCG64(seed))
+
+
+class TestDistinctRandomLabels:
+    """One (m, n) draw topped up row by row takes the same values from the
+    stream as one draw per row, and leaves the generator in the same state
+    (the half-used 64-bit output included)."""
+
+    @pytest.mark.parametrize("exclude_zero", [False, True])
+    @pytest.mark.parametrize("n,m", [(1, 1), (3, 5), (3, 7), (7, 6), (8, 6), (1001, 3)])
+    def test_matches_row_by_row_draws(self, n, m, exclude_zero):
+        for seed in range(2000):
+            a, b = _pcg(seed), _pcg(seed)
+            got = _distinct_random_labels(a, n, m, exclude_zero)
+            want = _labels_row_by_row(b, n, m, exclude_zero)
+            assert got.dtype == bool and got.shape == (m, n)
+            assert got.tolist() == [r.tolist() for r in want], seed
+            assert a.bit_generator.state == b.bit_generator.state, seed
+
+    def test_many_duplicates(self):
+        """Eight rows over three points: every labeling, after many repeats."""
+        topped_up = 0
+        for seed in range(2000):
+            a, b = _pcg(seed), _pcg(seed)
+            got = _distinct_random_labels(a, 3, 8)
+            assert got.tolist() == [r.tolist() for r in _labels_row_by_row(b, 3, 8)]
+            assert a.bit_generator.state == b.bit_generator.state
+            assert len({r.tobytes() for r in got}) == 8
+            first_rows_only = _pcg(seed)
+            first_rows_only.integers(0, 2, (8, 3))
+            topped_up += a.bit_generator.state != first_rows_only.bit_generator.state
+        assert topped_up > 1000
+
+    @pytest.mark.parametrize("n,m", [(1, 2), (2, 4)])
+    def test_unsatisfiable_raises_after_1000_m_attempts(self, n, m):
+        """Without the zero row, n points have only 2**n - 1 labelings."""
+        a, b = _pcg(5), _pcg(5)
+        message = f"^could not draw {m} distinct labelings over {n} points$"
+        with pytest.raises(ValueError, match=message):
+            _distinct_random_labels(a, n, m, exclude_zero=True)
+        with pytest.raises(ValueError, match=message):
+            _labels_row_by_row(b, n, m, exclude_zero=True)
+        assert a.bit_generator.state == b.bit_generator.state
+        c = _pcg(5)
+        c.integers(0, 2, (1000 * m, n))
+        assert a.bit_generator.state == c.bit_generator.state
