@@ -44,55 +44,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.trials is not None:
-            if args.trials < 1:
-                raise ConfigError("trials must be >= 1")
-            cfg.trials = args.trials
-        if args.out is not None:
-            cfg.out = args.out
-        workers = resolve_workers(cfg, args.workers)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-
+    flags = {k: v for k, v in vars(args).items()
+             if k in ("seed", "trials", "out", "workers") and v is not None}
     checks = []
     try:
+        cfg = load_config(args.config, flags)
+        workers = resolve_workers(cfg)
         if args.command == "eval":
-            sc = build_scenario(cfg.scenario_spec, cfg.seed)
-            table = eval_table(sc, burden=cfg.eval_section.get("burden", True))
+            table = eval_table(build_scenario(cfg.scenario_spec, cfg.seed), **cfg.eval_section)
         elif args.command == "vc":
-            sc = build_scenario(cfg.scenario_spec, cfg.seed)
-            table = vc_table(
-                sc,
-                targets=cfg.vc_section.get("targets"),
-                cap=cfg.vc_section.get("cap"),
-                ground_limit=cfg.vc_section.get("ground_limit"),
-            )
-        elif args.command == "experiment":
-            if "name" not in cfg.experiment_section:
-                raise ConfigError("experiment: config needs an experiment section with a name")
-            result = run_experiment(
-                cfg.experiment_section["name"],
-                scenario_spec=cfg.scenario_spec,
-                params=cfg.experiment_section.get("params"),
-                seed=cfg.seed,
-                trials=cfg.trials,
-                workers=workers,
-            )
-            table, checks = result.table, result.checks
-        else:  # graph-learn
-            result = run_experiment(
-                "graph-learn",
-                scenario_spec=cfg.scenario_spec,
-                params=dict(cfg.graph_learn_section),
-                seed=cfg.seed,
-                trials=cfg.trials,
-                workers=workers,
-            )
+            table = vc_table(build_scenario(cfg.scenario_spec, cfg.seed), **cfg.vc_section)
+        else:
+            if args.command == "experiment":
+                name, params = cfg.experiment_section.get("name"), cfg.experiment_section.get("params")
+            else:
+                name, params = "graph-learn", cfg.graph_learn_section
+            result = run_experiment(name, cfg.scenario_spec, params, cfg.seed, cfg.trials, workers)
             table, checks = result.table, result.checks
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

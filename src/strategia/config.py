@@ -1,30 +1,41 @@
-"""Run configuration: JSON schema validation and scenario construction.
+"""Run configuration: one table-driven schema for every config value.
 
-A config file is a single JSON object. Unknown keys are rejected anywhere,
-with dotted-path diagnostics. Command line flags (--seed, --trials, --out,
---workers) override the corresponding top-level keys; the STRATEGIA_WORKERS
-environment variable fills in when neither the flag nor the config sets a
-worker count.
+A config file is a single JSON object. Every value in it is checked by one
+checker against a table of ``key -> (default, interval)`` entries: the
+top-level keys and the eval, vc and graph_learn sections here, every scenario
+generator here, and every experiment's params in ``experiments._REGISTRY``.
+An unknown key, a null, a value of the wrong type or one outside its
+interval stops the run with a ConfigError that names the dotted path of the
+value. Command line flags (--seed, --trials, --out, --workers) override the
+corresponding top-level keys and are checked by the same entries; the
+STRATEGIA_WORKERS environment variable fills in when neither the flag nor
+the config sets a worker count.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import reprlib
+import sys
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 import numpy as np
 
 from .domain import (
+    MAX_DENSE_POINTS,
     FiniteDomain,
     LabeledDistribution,
     ManipulationGraph,
     enumerate_class,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InvalidDistributionError
 from .graphdist import GraphClass
 from .scenarios import (
+    OBS1_MAX_D,
     Scenario,
     gen_component_case,
     gen_example1,
@@ -32,23 +43,7 @@ from .scenarios import (
     gen_obs1,
     gen_random,
 )
-
-TOP_KEYS = {"scenario", "seed", "trials", "workers", "out", "eval", "vc", "experiment", "graph_learn"}
-
-GENERATORS = {
-    "example1",
-    "example2",
-    "obs1",
-    "complete",
-    "partial_order",
-    "ball",
-    "coordinate",
-    "random",
-}
-
-
-def _type_name(v) -> str:
-    return type(v).__name__
+from .vcdim import VC_TARGETS
 
 
 def _expect(cond: bool, path: str, msg: str) -> None:
@@ -56,34 +51,177 @@ def _expect(cond: bool, path: str, msg: str) -> None:
         raise ConfigError(f"{path}: {msg}")
 
 
-def _expect_dict(v, path: str) -> dict:
-    _expect(isinstance(v, dict), path, f"expected an object, got {_type_name(v)}")
-    return v
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
 
-def _expect_int(v, path: str) -> int:
-    _expect(isinstance(v, int) and not isinstance(v, bool), path, f"expected an integer, got {v!r}")
-    return v
+def _no_default(default) -> bool:
+    """A type, or a list or tuple of types, stands in for a missing default."""
+    if isinstance(default, (list, tuple)):
+        default = default[0]
+    return isinstance(default, type)
 
 
-def _expect_number(v, path: str) -> float:
-    _expect(
-        isinstance(v, (int, float)) and not isinstance(v, bool),
-        path,
-        f"expected a number, got {v!r}",
-    )
-    return float(v)
+def _bound(text: str, params: dict):
+    text = text.strip()
+    return 2 ** params[text[3:]] if text.startswith("2**") else float(text)
 
 
-def _expect_str(v, path: str) -> str:
-    _expect(isinstance(v, str), path, f"expected a string, got {_type_name(v)}")
-    return v
+def _check_param(path: str, value, default, interval, params: Optional[dict] = None):
+    """Return value in the type of default, or raise a ConfigError naming path.
+
+    default is a bool, an int, a float (an int is accepted and converted;
+    infinities and NaN are not), a string, a dict (an object), a nonempty
+    list whose entries are checked against default[0], or a tuple (a list
+    of exactly that many entries, each checked against its own). A type in
+    place of a default (int, str, [str], ...) gives the type of a key that
+    has none; object accepts any value. interval is None, or for a string a
+    tuple of the allowed values, or for a number (and each entry of a list)
+    a range like "[1, inf)" or "(0, 0.5)", where a bound may be 2**name for
+    a param already in params.
+    """
+    if isinstance(default, type):
+        default = default()
+    if isinstance(default, (list, tuple)):
+        _expect(isinstance(value, list), path, f"expected a list, got {reprlib.repr(value)}")
+        if isinstance(default, list):
+            _expect(len(value) > 0, path, "must be a nonempty list")
+            default = default[:1] * len(value)
+        _expect(len(value) == len(default), path,
+                f"expected a list of {len(default)} entries, got {len(value)}")
+        return [_check_param(f"{path}[{i}]", v, d, interval, params)
+                for i, (v, d) in enumerate(zip(value, default))]
+    if isinstance(default, bool):
+        _expect(isinstance(value, bool), path, f"expected a bool, got {reprlib.repr(value)}")
+        return value
+    if isinstance(default, str):
+        _expect(isinstance(value, str), path, f"expected a string, got {reprlib.repr(value)}")
+        if interval is not None:
+            _expect(value in interval, path,
+                    f"expected one of {list(interval)}, got {reprlib.repr(value)}")
+        return value
+    if isinstance(default, dict):
+        _expect(isinstance(value, dict), path, f"expected an object, got {reprlib.repr(value)}")
+        return value
+    if not isinstance(default, (int, float)):  # object: any value
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, int):
+        kind, ok = "an integer", number and isinstance(value, int)
+    else:
+        kind, ok = "a number", number and abs(value) <= sys.float_info.max
+    _expect(ok, path, f"expected {kind} in {interval}, got {reprlib.repr(value)}")
+    lo, hi = (_bound(b, params) for b in interval[1:-1].split(","))
+    above = lo < value if interval[0] == "(" else lo <= value
+    below = value < hi if interval[-1] == ")" else value <= hi
+    _expect(above and below, path, f"must be in {interval}, got {reprlib.repr(value)}")
+    return value if isinstance(default, int) else float(value)
 
 
-def _reject_unknown(d: dict, allowed: set, path: str) -> None:
-    unknown = set(d) - allowed
+def _merge_params(path: str, params, table: dict, required=()) -> dict:
+    """The defaults of table overridden by params (an object at path), every
+    value checked in table order and returned in its declared type. A key
+    without a default is left out unless params gives it, and every key in
+    required must be given."""
+    params = _check_param(path, {} if params is None else params, dict, None)
+    unknown = sorted(set(params) - set(table))
     if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}")
+        raise ConfigError(f"{_join(path, unknown[0])}: unknown key; allowed: {sorted(table)}")
+    for key in required:
+        _expect(key in params, _join(path, key), "missing required key")
+    checked: dict = {}
+    for key, (default, interval) in table.items():
+        if key in params or not _no_default(default):
+            checked[key] = _check_param(_join(path, key), params.get(key, default),
+                                        default, interval, checked)
+    return checked
+
+
+# Intervals that several tables share. A domain holds at most
+# MAX_DENSE_POINTS points, so a square grid is at most isqrt of that wide;
+# obs1 instances stop at d = OBS1_MAX_D (see scenarios.obs1_indices).
+_COUNT = "[1, inf)"
+_NONNEGATIVE = "[0, inf)"
+_ANY = "(-inf, inf)"
+_PROBABILITY = "[0, 1]"
+_POINTS = f"[1, {MAX_DENSE_POINTS}]"
+_CHAIN = f"[2, {MAX_DENSE_POINTS}]"
+_GRID = f"[1, {math.isqrt(MAX_DENSE_POINTS)}]"
+_OBS1_D = f"[1, {OBS1_MAX_D}]"
+_HYPOTHESES = "[1, 2**n_points]"  # distinct labelings of n_points points
+# Candidate graphs and coordinate columns are dense arrays per instance.
+_FEW = "[0, 64]"
+
+_TOP = {
+    "scenario": (dict, None),
+    "seed": (int, _ANY),
+    "trials": (int, _COUNT),
+    "workers": (int, _COUNT),
+    "out": (str, None),
+    "eval": (dict, None),
+    "vc": (dict, None),
+    "experiment": (dict, None),
+    "graph_learn": (dict, None),
+}
+_EVAL = {"burden": (bool, None)}
+_VC = {"targets": ([str], VC_TARGETS), "cap": (int, _NONNEGATIVE), "ground_limit": (int, _COUNT)}
+_EXPERIMENT = {"name": (str, None), "params": (dict, None)}
+# The graph-learn experiment's params, which are also the graph_learn section.
+_GRAPH_LEARN = {
+    "sample_size": (400, _COUNT),
+    "labeled_sample_size": (400, _COUNT),
+    "sample_file": (str, None),
+}
+
+_RANDOM = {
+    "n_points": (8, _POINTS),
+    "n_hypotheses": (8, _HYPOTHESES),
+    "density": (0.3, _PROBABILITY),
+    "seed": (int, _NONNEGATIVE),  # build_scenario fills in the run seed
+    "n_graphs": (0, _FEW),
+    "coord_dim": (0, _FEW),
+}
+
+
+def _example2(p: list) -> Scenario:
+    try:
+        return gen_example2(*p)
+    except InvalidDistributionError as e:  # the four probabilities must sum to 1
+        raise ConfigError(f"scenario.params.p: {e}") from e
+
+
+# Each generator's (params table, builder, required params).
+_GENERATORS: dict[str, tuple[dict, Callable[..., Scenario], tuple]] = {
+    "example1": ({"n": (10, _CHAIN)}, gen_example1, ()),
+    "example2": ({"p": ((float,) * 4, _PROBABILITY)}, _example2, ("p",)),
+    "obs1": ({"d": (int, _OBS1_D)}, gen_obs1, ("d",)),
+    "complete": (
+        {"n": (6, _POINTS), "class_size": (4, "[1, 2**n)"), "seed": (0, _NONNEGATIVE)},
+        partial(gen_component_case, "complete"), (),
+    ),
+    "partial_order": (
+        # every one of the 2**size labelings is enumerated
+        {"poset": ("diamond", ("diamond", "chain", "antichain")), "size": (4, "[1, 16]")},
+        partial(gen_component_case, "partial_order"), (),
+    ),
+    "ball": (
+        {"grid": (4, _GRID), "radius": (1.0, _ANY), "p": (2.0, "(0, inf)")},
+        partial(gen_component_case, "ball"), (),
+    ),
+    "coordinate": ({"grid": (3, _GRID)}, partial(gen_component_case, "coordinate"), ()),
+    "random": (_RANDOM, gen_random, ()),
+}
+
+_SCENARIO = {"generator": (str, None), "params": (dict, None), "inline": (dict, None)}
+_INLINE = {
+    "size": (int, _POINTS),
+    "coords": (object, None),
+    "edges": (object, None),
+    "family": (object, None),
+    "weights": (object, None),
+    "edges2": (object, None),
+    "candidates": (object, None),
+}
 
 
 @dataclass
@@ -100,7 +238,9 @@ class RunConfig:
     graph_learn_section: dict = field(default_factory=dict)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides: Optional[dict[str, Any]] = None) -> RunConfig:
+    """Read and check the config at path; ``overrides`` (the command line
+    flags that are set) replace its top-level keys before the check."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -110,152 +250,76 @@ def load_config(path: str) -> RunConfig:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from e
-    _expect_dict(data, path)
-    _reject_unknown(data, TOP_KEYS, path)
-    cfg = RunConfig(path=path)
-    if "scenario" in data:
-        cfg.scenario_spec = _validate_scenario_spec(data["scenario"], "scenario")
-    if "seed" in data:
-        cfg.seed = _expect_int(data["seed"], "seed")
-    if "trials" in data:
-        cfg.trials = _expect_int(data["trials"], "trials")
-        _expect(cfg.trials >= 1, "trials", "must be >= 1")
-    if "workers" in data:
-        cfg.workers = _expect_int(data["workers"], "workers")
-        _expect(cfg.workers >= 1, "workers", "must be >= 1")
-    if "out" in data:
-        cfg.out = _expect_str(data["out"], "out")
-    for key, attr in (
-        ("eval", "eval_section"),
-        ("vc", "vc_section"),
-        ("experiment", "experiment_section"),
-        ("graph_learn", "graph_learn_section"),
-    ):
-        if key in data:
-            setattr(cfg, attr, _expect_dict(data[key], key))
-    _validate_sections(cfg)
+    data = _check_param(path, data, dict, None)
+    top = _merge_params("", {**data, **(overrides or {})}, _TOP)
+    cfg = RunConfig(path, **{k: top[k] for k in ("seed", "trials", "workers", "out") if k in top})
+    cfg.eval_section = _merge_params("eval", top.get("eval"), _EVAL)
+    cfg.vc_section = _merge_params("vc", top.get("vc"), _VC)
+    cfg.graph_learn_section = _merge_params("graph_learn", top.get("graph_learn"), _GRAPH_LEARN)
+    if "experiment" in top:
+        cfg.experiment_section = _merge_params(
+            "experiment", top["experiment"], _EXPERIMENT, required=("name",)
+        )
+    if "scenario" in top:
+        cfg.scenario_spec = top["scenario"]
+        _scenario_params(cfg.scenario_spec, cfg.seed)
     return cfg
 
 
-def _validate_scenario_spec(spec, path: str) -> dict:
-    spec = _expect_dict(spec, path)
-    _reject_unknown(spec, {"generator", "params", "inline"}, path)
+def _scenario_params(spec, run_seed: int) -> tuple[Callable[..., Scenario], dict]:
+    """The builder a scenario spec names and its checked params."""
+    spec = _merge_params("scenario", spec, _SCENARIO)
     if "inline" in spec:
-        _expect("generator" not in spec and "params" not in spec, path,
+        _expect("generator" not in spec and "params" not in spec, "scenario",
                 "inline and generator are mutually exclusive")
-        inline = _expect_dict(spec["inline"], f"{path}.inline")
-        allowed = {"size", "coords", "edges", "family", "weights", "edges2", "candidates"}
-        _reject_unknown(inline, allowed, f"{path}.inline")
-        for req in ("size", "edges", "family", "weights"):
-            _expect(req in inline, f"{path}.inline", f"missing required key {req!r}")
-        return spec
-    _expect("generator" in spec, path, "needs either a generator name or an inline block")
-    name = _expect_str(spec["generator"], f"{path}.generator")
-    _expect(name in GENERATORS, f"{path}.generator",
-            f"unknown generator {name!r}; available: {sorted(GENERATORS)}")
-    if "params" in spec:
-        _expect_dict(spec["params"], f"{path}.params")
-    return spec
-
-
-def _validate_sections(cfg: RunConfig) -> None:
-    if cfg.eval_section:
-        _reject_unknown(cfg.eval_section, {"burden"}, "eval")
-        if "burden" in cfg.eval_section:
-            _expect(isinstance(cfg.eval_section["burden"], bool), "eval.burden", "expected a bool")
-    if cfg.vc_section:
-        _reject_unknown(cfg.vc_section, {"targets", "cap", "ground_limit"}, "vc")
-        targets = cfg.vc_section.get("targets")
-        if targets is not None:
-            _expect(isinstance(targets, list) and targets, "vc.targets", "expected a nonempty list")
-            valid = {"class", "binary", "strategic", "component", "graph"}
-            for t in targets:
-                _expect(t in valid, "vc.targets", f"unknown target {t!r}; valid: {sorted(valid)}")
-        if "cap" in cfg.vc_section:
-            cap = _expect_int(cfg.vc_section["cap"], "vc.cap")
-            _expect(cap >= 0, "vc.cap", "must be >= 0")
-        if "ground_limit" in cfg.vc_section:
-            limit = _expect_int(cfg.vc_section["ground_limit"], "vc.ground_limit")
-            _expect(limit >= 1, "vc.ground_limit", "must be >= 1")
-    if cfg.experiment_section:
-        _reject_unknown(cfg.experiment_section, {"name", "params"}, "experiment")
-        _expect("name" in cfg.experiment_section, "experiment", "missing required key 'name'")
-        _expect_str(cfg.experiment_section["name"], "experiment.name")
-        if "params" in cfg.experiment_section:
-            _expect_dict(cfg.experiment_section["params"], "experiment.params")
-    if cfg.graph_learn_section:
-        _reject_unknown(
-            cfg.graph_learn_section,
-            {"sample_size", "sample_file", "labeled_sample_size"},
-            "graph_learn",
-        )
-        for k in ("sample_size", "labeled_sample_size"):
-            if k in cfg.graph_learn_section:
-                v = _expect_int(cfg.graph_learn_section[k], f"graph_learn.{k}")
-                _expect(v >= 1, f"graph_learn.{k}", "must be >= 1")
-        if "sample_file" in cfg.graph_learn_section:
-            _expect_str(cfg.graph_learn_section["sample_file"], "graph_learn.sample_file")
+        required = ("size", "edges", "family", "weights")
+        return _build_inline, _merge_params("scenario.inline", spec["inline"], _INLINE, required)
+    _expect("generator" in spec, "scenario", "needs either a generator name or an inline block")
+    name = spec["generator"]
+    _expect(name in _GENERATORS, "scenario.generator",
+            f"unknown generator {name!r}; available: {sorted(_GENERATORS)}")
+    table, builder, required = _GENERATORS[name]
+    params = dict(spec.get("params", {}))
+    if name == "random":
+        params.setdefault("seed", run_seed)
+    return builder, _merge_params("scenario.params", params, table, required)
 
 
 def build_scenario(spec: Optional[dict], run_seed: int) -> Scenario:
-    """Materialize the scenario named by a validated spec.
+    """Materialize the scenario named by a spec.
 
     Random generators default their seed to the run seed so that --seed
     moves the whole run coherently.
     """
     if spec is None:
         raise ConfigError("scenario: a scenario is required for this command")
-    if "inline" in spec:
-        return _build_inline(spec["inline"])
-    name = spec["generator"]
-    params = dict(spec.get("params", {}))
-    try:
-        if name == "example1":
-            return gen_example1(**params)
-        if name == "example2":
-            if "p" in params:
-                p = params.pop("p")
-                _expect(isinstance(p, list) and len(p) == 4, "scenario.params.p",
-                        "expected a list of 4 probabilities")
-                params.update(p1=p[0], p2=p[1], p3=p[2], p4=p[3])
-            return gen_example2(**params)
-        if name == "obs1":
-            return gen_obs1(**params)
-        if name in ("complete", "partial_order", "ball", "coordinate"):
-            return gen_component_case(name, **params)
-        if name == "random":
-            params.setdefault("seed", run_seed)
-            return gen_random(**params)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"scenario.params: {e}") from e
-    raise ConfigError(f"scenario.generator: unknown generator {name!r}")
+    builder, params = _scenario_params(spec, run_seed)
+    return builder(**params)
 
 
-def _build_inline(inline: dict) -> Scenario:
+def _build_inline(
+    size, edges, family, weights, coords=None, edges2=None, candidates=None
+) -> Scenario:
     try:
-        size = int(inline["size"])
-        coords = inline.get("coords")
-        domain = FiniteDomain(size, np.asarray(coords, dtype=float) if coords is not None else None)
-        graph = ManipulationGraph(domain, [tuple(e) for e in inline["edges"]])
-        hclass = enumerate_class(inline["family"], domain)
-        dist = LabeledDistribution(np.asarray(inline["weights"], dtype=float), domain)
+        domain = FiniteDomain(size, None if coords is None else np.asarray(coords, dtype=float))
+        graph = ManipulationGraph(domain, [tuple(e) for e in edges])
+        hclass = enumerate_class(family, domain)
+        dist = LabeledDistribution(np.asarray(weights, dtype=float), domain)
         graph2 = None
-        if "edges2" in inline:
-            graph2 = ManipulationGraph(domain, [tuple(e) for e in inline["edges2"]])
+        if edges2 is not None:
+            graph2 = ManipulationGraph(domain, [tuple(e) for e in edges2])
         graph_class = None
-        if "candidates" in inline:
+        if candidates is not None:
             graph_class = GraphClass(
-                [ManipulationGraph(domain, [tuple(e) for e in edges]) for edges in inline["candidates"]]
+                [ManipulationGraph(domain, [tuple(e) for e in c]) for c in candidates]
             )
         return Scenario(domain, graph, hclass, dist, graph2=graph2, graph_class=graph_class,
                         provenance="inline")
-    except (TypeError, ValueError, KeyError) as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"scenario.inline: {e}") from e
 
 
-def resolve_workers(cfg: RunConfig, cli_workers: Optional[int]) -> int:
+def resolve_workers(cfg: RunConfig, cli_workers: Optional[int] = None) -> int:
     """Precedence: --workers flag, then config, then STRATEGIA_WORKERS, then 1."""
     if cli_workers is not None:
         value = cli_workers

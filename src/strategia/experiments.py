@@ -22,7 +22,18 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import _expect, _expect_int, _expect_number, _expect_str, _type_name, build_scenario
+from .config import (
+    _CHAIN,
+    _COUNT,
+    _GRAPH_LEARN,
+    _HYPOTHESES,
+    _NONNEGATIVE,
+    _OBS1_D,
+    _POINTS,
+    _PROBABILITY,
+    _merge_params,
+    build_scenario,
+)
 from .domain import Hypothesis, HypothesisClass, LabeledDistribution, ManipulationGraph
 from .errors import ConfigError, UndefinedBurdenError
 from .graphdist import (
@@ -92,50 +103,6 @@ class ExperimentResult:
 
 def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
-
-
-def _check_param(path: str, value, default, interval: Optional[str]) -> None:
-    """A param must have the type of its default: an int, a float (an int is
-    accepted), a nonempty list of the same kind of number, or a string where
-    the default is None. A number, and every entry of a list, must lie in the
-    interval, written like "[1, inf)" or "(0, 0.5)"."""
-    if default is None:
-        if value is not None:
-            _expect_str(value, path)
-        return
-    if isinstance(default, list):
-        _expect(isinstance(value, list), path, f"expected a list, got {_type_name(value)}")
-        _expect(len(value) > 0, path, "must be a nonempty list")
-        for i, v in enumerate(value):
-            _check_param(f"{path}[{i}]", v, default[0], interval)
-        return
-    (_expect_int if isinstance(default, int) else _expect_number)(value, path)
-    lo, hi = (float(v) for v in interval[1:-1].split(","))
-    above = lo < value if interval[0] == "(" else lo <= value
-    below = value < hi if interval[-1] == ")" else value <= hi
-    _expect(above and below, path, f"must be in {interval}, got {value!r}")
-
-
-def _merge_params(name: str, params: Optional[dict], spec: dict, trials: Optional[int]) -> dict:
-    """Defaults overridden by params, then by ``trials``; every value is checked
-    against its default's type and its interval before any work."""
-    params = dict(params or {})
-    unknown = set(params) - set(spec)
-    if unknown:
-        raise ConfigError(
-            f"experiment.params: unknown key(s) {sorted(unknown)} for {name!r}; "
-            f"allowed: {sorted(spec)}"
-        )
-    merged = {key: default for key, (default, _) in spec.items()}
-    merged.update(params)
-    if trials is not None:
-        if "trials" in merged:
-            merged["trials"] = int(trials)
-        elif "draws" in merged:
-            merged["draws"] = int(trials)
-    for key, (default, interval) in spec.items():
-        _check_param(f"experiment.params.{key}", merged[key], default, interval)
-    return merged
 
 
 def _run_seeded(kernel: Callable, shared, items: Sequence, workers: int) -> list:
@@ -257,14 +224,12 @@ def vc_table(
     graph (loss sets of (hypothesis, candidate) pairs over the true
     successor-set ground; needs candidate graphs).
     """
-    from .vcdim import DEFAULT_CAP, DEFAULT_GROUND_LIMIT, graph_loss_class
+    from .vcdim import DEFAULT_CAP, DEFAULT_GROUND_LIMIT, VC_TARGETS, graph_loss_class
 
     cap = DEFAULT_CAP if cap is None else cap
     ground_limit = DEFAULT_GROUND_LIMIT if ground_limit is None else ground_limit
     if targets is None:
-        targets = ["class", "binary", "strategic", "component"]
-        if sc.graph_class is not None:
-            targets.append("graph")
+        targets = [t for t in VC_TARGETS if t != "graph" or sc.graph_class is not None]
     table = ResultTable(("target", "dimension", "capped", "ground_size", "set_count", "witness"))
     H = sc.hclass
     for t in targets:
@@ -304,7 +269,7 @@ def _exp_example1(spec, params, seed, workers) -> ExperimentResult:
     """Thresholds on a bidirectional chain: only the constants resist gaming,
     and any such hypothesis pays one half on the balanced two-block
     distribution, while the unrestricted strategic optimum pays 1/n."""
-    sc = gen_example1(n=int(params["n"]))
+    sc = gen_example1(n=params["n"])
     H, P, graph = sc.hclass, sc.dist, sc.graph
     strategic = LossKind.strategic(graph)
     table = ResultTable(
@@ -332,7 +297,7 @@ def _exp_example1(spec, params, seed, workers) -> ExperimentResult:
             f"strategic loss of incentive compatible members: {ic_losses}",
         )
     )
-    S = draw_sample(P, int(params["sample_size"]), trial_seed(seed, 0))
+    S = draw_sample(P, params["sample_size"], trial_seed(seed, 0))
     pick = ic_erm(H, S, graph)
     pick_loss = expected_loss(strategic, pick.hypothesis, P)
     checks.append(
@@ -361,9 +326,7 @@ def _exp_example2(spec, params, seed, workers) -> ExperimentResult:
     """Sweep the decisive probability: the strategic optimum switches between
     the two interior thresholds, while the post-response optimum stays at the
     upper one with exact loss zero."""
-    p1, p4 = float(params["p1"]), float(params["p4"])
-    grid = [float(v) for v in params["p2_grid"]]
-    sample_size = int(params["sample_size"])
+    p1, p4, sample_size = params["p1"], params["p4"], params["sample_size"]
     table = ResultTable(
         ("p2", "p3", "strategic_best", "strategic_best_loss",
          "post_response_best", "post_response_loss", "erm_pick", "erm_empirical_loss")
@@ -371,7 +334,7 @@ def _exp_example2(spec, params, seed, workers) -> ExperimentResult:
     checks = []
     switch_ok, post_ok, domination_ok = True, True, True
     details = []
-    for row_i, p2 in enumerate(grid):
+    for row_i, p2 in enumerate(params["p2_grid"]):
         p3 = 1.0 - p1 - p4 - p2
         if p3 < 0:
             raise ConfigError(f"experiment.params: p2={p2} leaves a negative p3")
@@ -433,8 +396,8 @@ def _exp_obs1(spec, params, seed, workers) -> ExperimentResult:
         ("d", "n_points", "class_vc", "strategic_vc", "strategic_capped", "witness")
     )
     checks = []
-    cap = int(params["cap"])
-    for d in [int(v) for v in params["d_values"]]:
+    cap = params["cap"]
+    for d in params["d_values"]:
         sc = gen_obs1(d)
         H = sc.hclass
         class_report = vc_dimension(class_system(H), cap=cap)
@@ -497,11 +460,8 @@ def _exp_thm3(spec, params, seed, workers) -> ExperimentResult:
     n = ceil(ln(1/delta) / (2 eps)) + slack draws, the failure rate (true
     strategic loss above eps) stays below delta. Failure happens exactly when
     the positive target never shows up, with probability (1 - 2 eps)^n."""
-    d = int(params["d"])
-    target_j = int(params["target_j"])
-    delta = float(params["delta"])
-    slack = int(params["slack"])
-    trials = int(params["trials"])
+    d, target_j, delta, slack = params["d"], params["target_j"], params["delta"], params["slack"]
+    trials = params["trials"]
     sc = gen_obs1(d)
     kind = LossKind.strategic(sc.graph)
     targets = tuple(range(d, d + (1 << d)))
@@ -509,7 +469,7 @@ def _exp_thm3(spec, params, seed, workers) -> ExperimentResult:
         ("eps", "delta", "n", "exact_failure_prob", "observed_failure_rate", "trials")
     )
     checks = []
-    eps_values = [float(v) for v in params["eps_values"]]
+    eps_values = params["eps_values"]
     try:
         dists = [obs1_distribution(d, target_j, eps) for eps in eps_values]
     except ValueError as e:
@@ -560,17 +520,9 @@ def _thm4_erm_excess(shared, item) -> np.ndarray:
     return expected[picks] - expected.min()
 
 
-def _check_random_class(params) -> None:
-    n = int(params["n_points"])
-    _expect(int(params["n_hypotheses"]) <= 1 << n, "experiment.params.n_hypotheses",
-            f"must be at most 2**n_points = {1 << n}, got {params['n_hypotheses']!r}")
-
-
 def _thm4_instances(params, seed) -> list[Scenario]:
-    _check_random_class(params)
     instances = []
-    budget = int(params["vc_budget"])
-    want = int(params["instances"])
+    budget, want = params["vc_budget"], params["instances"]
     attempts = 0
     k = 0
     while len(instances) < want:
@@ -578,9 +530,9 @@ def _thm4_instances(params, seed) -> list[Scenario]:
         if attempts > 50 * want:
             raise ConfigError("could not find enough instances within the dimension budget")
         sc = gen_random(
-            n_points=int(params["n_points"]),
-            n_hypotheses=int(params["n_hypotheses"]),
-            density=float(params["density"]),
+            n_points=params["n_points"],
+            n_hypotheses=params["n_hypotheses"],
+            density=params["density"],
             seed=trial_seed(seed, _THM4_INSTANCE_BASE + k),
         )
         k += 1
@@ -598,8 +550,7 @@ def _exp_thm4(spec, params, seed, workers) -> ExperimentResult:
     within a budget. The pooled median excess must not increase with the
     sample size and must be small at the largest size."""
     instances = _thm4_instances(params, seed)
-    n_grid = [int(v) for v in params["n_grid"]]
-    trials = int(params["trials"])
+    n_grid, trials = params["n_grid"], params["trials"]
     shared = []
     items = []
     for inst_i, sc in enumerate(instances):
@@ -630,7 +581,7 @@ def _exp_thm4(spec, params, seed, workers) -> ExperimentResult:
         ),
         _check(
             "thm4.final-excess",
-            medians[-1] <= float(params["excess_tol"]),
+            medians[-1] <= params["excess_tol"],
             f"median excess {medians[-1]:.6f} at n={n_grid[-1]}, "
             f"tolerance {params['excess_tol']}",
         ),
@@ -675,21 +626,20 @@ def _exp_thm5(spec, params, seed, workers) -> ExperimentResult:
     """Evaluate the surrogate chain on seeded random instances. Construction
     already validates lower <= true <= upper1 <= upper2; the check records
     the worst slack on top of that."""
-    _check_random_class(params)
-    draws = int(params["draws"])
+    draws = params["draws"]
     table = ResultTable(
         ("draw", "member", "true_strategic", "binary", "surrogate_component",
          "surrogate_strategic", "distance", "upper1", "upper2", "lower",
          "lower_tight", "min_slack")
     )
-    n_points, n_hypotheses = int(params["n_points"]), int(params["n_hypotheses"])
-    shared = (n_points, n_hypotheses, float(params["density"]), seed)
+    n_points, n_hypotheses = params["n_points"], params["n_hypotheses"]
+    shared = (n_points, n_hypotheses, params["density"], seed)
     items = _trial_blocks(0, draws, n_points * (n_points + n_hypotheses))
     rows = [row for block in _run_seeded(_thm5_block, shared, items, workers) for row in block]
     for row in rows:
         table.append(*row)
     worst = min(row[-1] for row in rows)
-    tol = float(params["slack_tol"])
+    tol = params["slack_tol"]
     checks = [
         _check(
             "thm5.chain-holds",
@@ -726,7 +676,7 @@ def _exp_graph_learn(spec, params, seed, workers) -> ExperimentResult:
     _require_candidates(sc)
     H, P, truth, G = sc.hclass, sc.dist, sc.graph, sc.graph_class
     marginal = P.marginal()
-    sample_file = params["sample_file"]
+    sample_file = params.get("sample_file")
     if sample_file:
         try:
             S = read_graph_sample(sample_file, sc.domain.size)
@@ -736,7 +686,7 @@ def _exp_graph_learn(spec, params, seed, workers) -> ExperimentResult:
             raise ConfigError(f"graph_learn.sample_file: {e}") from e
         source = str(sample_file)
     else:
-        S = draw_graph_sample(marginal, truth, int(params["sample_size"]), trial_seed(seed, 0))
+        S = draw_graph_sample(marginal, truth, params["sample_size"], trial_seed(seed, 0))
         source = "drawn"
     learned = graph_erm(G, H, S)
     emp = [empirical_sample_distance(g, H, S) for g in G]
@@ -751,7 +701,7 @@ def _exp_graph_learn(spec, params, seed, workers) -> ExperimentResult:
     table.append("selected", "empirical_distance", learned.empirical_value)
     table.append("selected", "true_distance", true_d[learned.index])
     table.append("selected", "tie_count", learned.tie_count)
-    S_l = draw_sample(P, int(params["labeled_sample_size"]), trial_seed(seed, 1))
+    S_l = draw_sample(P, params["labeled_sample_size"], trial_seed(seed, 1))
     pick = erm(H, S_l, LossKind.strategic(learned.graph))
     table.append("erm", "hypothesis_index", pick.index)
     table.append("erm", "hypothesis", describe_hypothesis(pick.hypothesis))
@@ -814,9 +764,7 @@ def _exp_uniform_conv(spec, params, seed, workers) -> ExperimentResult:
     comp_truth = class_component_matrix(H, truth)
     diff = np.concatenate([comp_truth != class_component_matrix(H, g) for g in G]).astype(np.int64)
     true_d = np.array([hpx_distance(truth, g, H, marginal) for g in G])
-    n_grid = [int(v) for v in params["n_grid"]]
-    trials = int(params["trials"])
-    margin = float(params["coverage_margin"])
+    n_grid, trials, margin = params["n_grid"], params["trials"], params["coverage_margin"]
     shared = (diff, true_d, np.cumsum(marginal), margin, seed)
     items = [
         (n, *block)
@@ -835,7 +783,7 @@ def _exp_uniform_conv(spec, params, seed, workers) -> ExperimentResult:
             n, med, float(per_n_devs[n_i].mean()), float(per_n_cov[n_i].mean()), trials
         )
     checks = []
-    lo, hi = float(params["ratio_low"]), float(params["ratio_high"])
+    lo, hi = params["ratio_low"], params["ratio_high"]
     for i in range(len(n_grid) - 1):
         if medians[i + 1] > 0:
             ratio = medians[i] / medians[i + 1]
@@ -846,7 +794,7 @@ def _exp_uniform_conv(spec, params, seed, workers) -> ExperimentResult:
             detail = f"median deviation at n={n_grid[i + 1]} is zero"
         checks.append(_check(f"uniform-conv.ratio[{n_grid[i]}/{n_grid[i + 1]}]", ok, detail))
     coverage = float(per_n_cov[-1].mean())
-    frac = float(params["coverage_frac"])
+    frac = params["coverage_frac"]
     checks.append(
         _check(
             "uniform-conv.learned-coverage",
@@ -862,47 +810,36 @@ def _exp_uniform_conv(spec, params, seed, workers) -> ExperimentResult:
 # registry
 
 
-# Each experiment's params: name -> (default, interval of allowed values, or
-# None for a string). Counts start at 1, probabilities lie in [0, 1], and a
-# domain holds at most MAX_DENSE_POINTS = 4096 points, so obs1 instances
-# (d + 2**d points) stop at d = 11.
-_COUNT = "[1, inf)"
-_NONNEGATIVE = "[0, inf)"
-_PROBABILITY = "[0, 1]"
-_POINTS = "[1, 4096]"
-
+# Each experiment's params table, in the form config._check_param reads.
+# thm4 and thm5 draw gen_random instances, so they share its intervals.
 _REGISTRY: dict[str, tuple[dict[str, tuple], Callable]] = {
-    "example1": ({"n": (10, "[2, 4096]"), "sample_size": (400, _COUNT)}, _exp_example1),
+    "example1": ({"n": (10, _CHAIN), "sample_size": (400, _COUNT)}, _exp_example1),
     "example2": (
         {"p1": (0.25, _PROBABILITY), "p4": (0.25, _PROBABILITY),
          "p2_grid": ([0.05, 0.15, 0.25, 0.35, 0.45], _PROBABILITY),
          "sample_size": (200, _COUNT)},
         _exp_example2,
     ),
-    "obs1": ({"d_values": ([2, 3], "[1, 11]"), "cap": (5, _NONNEGATIVE)}, _exp_obs1),
+    "obs1": ({"d_values": ([2, 3], _OBS1_D), "cap": (5, _NONNEGATIVE)}, _exp_obs1),
     "thm3": (
         {"eps_values": ([0.05, 0.1], "(0, 0.5)"), "delta": (0.1, "(0, 1)"),
-         "slack": (2, _NONNEGATIVE), "d": (3, "[1, 11]"), "target_j": (1, _NONNEGATIVE),
+         "slack": (2, _NONNEGATIVE), "d": (3, _OBS1_D), "target_j": (1, _NONNEGATIVE),
          "trials": (2000, _COUNT)},
         _exp_thm3,
     ),
     "thm4": (
-        {"instances": (20, _COUNT), "n_points": (8, _POINTS), "n_hypotheses": (6, _COUNT),
+        {"instances": (20, _COUNT), "n_points": (8, _POINTS), "n_hypotheses": (6, _HYPOTHESES),
          "density": (0.35, _PROBABILITY), "vc_budget": (4, _NONNEGATIVE),
          "n_grid": ([25, 100, 400, 1600], _COUNT), "trials": (200, _COUNT),
          "excess_tol": (0.05, _NONNEGATIVE)},
         _exp_thm4,
     ),
     "thm5": (
-        {"draws": (500, _COUNT), "n_points": (8, _POINTS), "n_hypotheses": (6, _COUNT),
+        {"draws": (500, _COUNT), "n_points": (8, _POINTS), "n_hypotheses": (6, _HYPOTHESES),
          "density": (0.35, _PROBABILITY), "slack_tol": (1e-12, _NONNEGATIVE)},
         _exp_thm5,
     ),
-    "graph-learn": (
-        {"sample_size": (400, _COUNT), "labeled_sample_size": (400, _COUNT),
-         "sample_file": (None, None)},
-        _exp_graph_learn,
-    ),
+    "graph-learn": (_GRAPH_LEARN, _exp_graph_learn),
     "uniform-conv": (
         {"n_grid": ([50, 200, 800, 3200], _COUNT), "trials": (200, _COUNT),
          "ratio_low": (1.4, _NONNEGATIVE), "ratio_high": (2.8, _NONNEGATIVE),
@@ -932,7 +869,12 @@ def run_experiment(
     """
     if name not in _REGISTRY:
         raise ConfigError(
-            f"unknown experiment {name!r}; available: {available_experiments()}"
+            f"experiment.name: unknown experiment {name!r}; available: {available_experiments()}"
         )
-    spec, fn = _REGISTRY[name]
-    return fn(scenario_spec, _merge_params(name, params, spec, trials), int(seed), int(workers))
+    table, fn = _REGISTRY[name]
+    params = dict(params or {})
+    for count in ("trials", "draws"):
+        if trials is not None and count in table:
+            params[count] = trials
+    params = _merge_params("experiment.params", params, table)
+    return fn(scenario_spec, params, int(seed), int(workers))

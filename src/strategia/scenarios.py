@@ -107,6 +107,11 @@ def gen_example2(p1: float, p2: float, p3: float, p4: float) -> Scenario:
     )
 
 
+# The largest d of the singleton blow-up: at d = 5 the ground of its strategic
+# loss class has 74 elements, past vcdim.DEFAULT_GROUND_LIMIT = 40.
+OBS1_MAX_D = 4
+
+
 def obs1_indices(d: int) -> tuple[list[int], list[int], list[frozenset[int]]]:
     """Index layout of the singleton blow-up construction.
 
@@ -114,8 +119,8 @@ def obs1_indices(d: int) -> tuple[list[int], list[int], list[frozenset[int]]]:
     encodes the subset of sources given by the bits of j; source i points an
     edge at target j exactly when i is in that subset.
     """
-    if not 1 <= d <= 4:
-        raise ValueError("d must be in 1..4")
+    if not 1 <= d <= OBS1_MAX_D:
+        raise ValueError(f"d must be in 1..{OBS1_MAX_D}")
     sources = list(range(d))
     targets = list(range(d, d + (1 << d)))
     subsets = [frozenset(i for i in range(d) if (j >> i) & 1) for j in range(1 << d)]
@@ -219,9 +224,9 @@ def gen_component_case(which: str, **params) -> Scenario:
     changing its largest-weight coordinate).
     """
     if which == "complete":
-        n = int(params.pop("n", 6))
-        class_size = int(params.pop("class_size", 4))
-        seed = int(params.pop("seed", 0))
+        n = params.pop("n", 6)
+        class_size = params.pop("class_size", 4)
+        seed = params.pop("seed", 0)
         _reject_extra(params)
         domain = FiniteDomain(n)
         edges = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -236,7 +241,7 @@ def gen_component_case(which: str, **params) -> Scenario:
 
     if which == "partial_order":
         poset = params.pop("poset", "diamond")
-        size = int(params.pop("size", 4))
+        size = params.pop("size", 4)
         _reject_extra(params)
         if poset == "diamond":
             n = 4
@@ -264,9 +269,9 @@ def gen_component_case(which: str, **params) -> Scenario:
         )
 
     if which == "ball":
-        grid = int(params.pop("grid", 4))
-        radius = float(params.pop("radius", 1.0))
-        p = float(params.pop("p", 2.0))
+        grid = params.pop("grid", 4)
+        radius = params.pop("radius", 1.0)
+        p = params.pop("p", 2.0)
         _reject_extra(params)
         half = (grid - 1) / 2.0
         coords = np.array(
@@ -289,7 +294,7 @@ def gen_component_case(which: str, **params) -> Scenario:
         )
 
     if which == "coordinate":
-        grid = int(params.pop("grid", 3))
+        grid = params.pop("grid", 3)
         _reject_extra(params)
         half = (grid - 1) / 2.0
         coords = np.array(

@@ -33,6 +33,8 @@ from .losses import (
 
 DEFAULT_CAP = 6
 DEFAULT_GROUND_LIMIT = 40
+# The set systems experiments.vc_table reports on.
+VC_TARGETS = ("class", "binary", "strategic", "component", "graph")
 SHATTER_CANDIDATE_LIMIT = 30
 
 # Cells held at once by a working array: candidates x sets of trace codes,

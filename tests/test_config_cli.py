@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from strategia.cli import main
 from strategia.config import build_scenario, load_config, resolve_workers
 from strategia.errors import ConfigError
 from strategia.experiments import _REGISTRY, run_experiment
+from strategia.scenarios import gen_component_case, gen_example1, gen_random
 
 GOLDEN_EVAL_HEAD = (
     "index,hypothesis,binary_loss,strategic_loss,component_loss,"
@@ -121,6 +123,18 @@ class TestBuildScenario:
             build_scenario({"generator": "example1", "params": {"m": 3}}, 0)
         with pytest.raises(ConfigError, match="scenario.params"):
             build_scenario({"generator": "obs1", "params": {"d": 9}}, 0)
+
+    @pytest.mark.parametrize("generator, direct", [
+        ("example1", gen_example1),
+        ("complete", partial(gen_component_case, "complete")),
+        ("partial_order", partial(gen_component_case, "partial_order")),
+        ("ball", partial(gen_component_case, "ball")),
+        ("coordinate", partial(gen_component_case, "coordinate")),
+        ("random", partial(gen_random, seed=5)),
+    ])
+    def test_table_defaults_are_the_generator_defaults(self, generator, direct):
+        """A generator's params table and its Python signature default alike."""
+        assert build_scenario({"generator": generator}, 5).provenance == direct().provenance
 
     def test_inline_round_trip(self):
         spec = {
@@ -359,7 +373,7 @@ class TestCliBadParameters:
                                                       "params": {"n_grid": [25, 2.5]}}})
         assert_one_config_error(
             capsys, main(["experiment", "--config", path]),
-            "config error: experiment.params.n_grid[1]: expected an integer, got 2.5",
+            "config error: experiment.params.n_grid[1]: expected an integer in [1, inf), got 2.5",
         )
 
     @pytest.mark.parametrize("name, params", [
@@ -384,19 +398,72 @@ class TestCliBadParameters:
         ("thm5", {"density": -0.5}, "density: must be in [0, 1], got -0.5"),
         ("thm4", {"n_points": 0}, "n_points: must be in [1, 4096], got 0"),
         ("thm4", {"density": 7.0}, "density: must be in [0, 1], got 7.0"),
-        ("thm3", {"d": 12}, "d: must be in [1, 11], got 12"),
+        ("thm3", {"d": 12}, "d: must be in [1, 4], got 12"),
         ("example2", {"p2_grid": []}, "p2_grid: must be a nonempty list"),
         ("uniform-conv", {"coverage_frac": 2}, "coverage_frac: must be in [0, 1], got 2"),
         ("thm3", {"target_j": 100}, "target_j: target index 100 out of range"),
         ("thm3", {"target_j": 7}, "target_j: target subset covers every source"),
-        ("thm4", {"n_points": 2, "n_hypotheses": 5}, "n_hypotheses: must be at most 2**n_points"),
-        ("thm5", {"n_points": 2, "n_hypotheses": 5}, "n_hypotheses: must be at most 2**n_points"),
+        ("thm4", {"n_points": 2, "n_hypotheses": 5},
+         "n_hypotheses: must be in [1, 2**n_points], got 5"),
+        ("thm5", {"n_points": 2, "n_hypotheses": 5},
+         "n_hypotheses: must be in [1, 2**n_points], got 5"),
+        ("thm3", {"d": 5}, "d: must be in [1, 4], got 5"),
+        ("obs1", {"d_values": [5]}, "d_values[0]: must be in [1, 4], got 5"),
     ])
     def test_out_of_range_param_exits_2(self, tmp_path, capsys, name, params, where):
         path = write_config(tmp_path, {"experiment": {"name": name, "params": params}})
         assert_one_config_error(
             capsys, main(["experiment", "--config", path]),
             f"config error: experiment.params.{where}",
+        )
+
+    @pytest.mark.parametrize("generator, params, where", [
+        ("random", {"seed": None}, "seed: expected an integer in [0, inf), got None"),
+        ("random", {"seed": 1.5}, "seed: expected an integer in [0, inf), got 1.5"),
+        ("random", {"n_points": "x"}, "n_points: expected an integer in [1, 4096], got 'x'"),
+        ("random", {"n_points": 0}, "n_points: must be in [1, 4096], got 0"),
+        ("random", {"n_points": 2, "n_hypotheses": 5}, "n_hypotheses: must be in [1, 2**n_points]"),
+        ("random", {"n_graphs": -1}, "n_graphs: must be in [0, 64], got -1"),
+        ("random", {"coord_dim": -2}, "coord_dim: must be in [0, 64], got -2"),
+        ("random", {"density": 1.5}, "density: must be in [0, 1], got 1.5"),
+        ("random", {"density": -1}, "density: must be in [0, 1], got -1"),
+        ("random", {"density": "0.5"}, "density: expected a number in [0, 1], got '0.5'"),
+        ("ball", {"p": 0}, "p: must be in (0, inf), got 0"),
+        ("ball", {"p": -1}, "p: must be in (0, inf), got -1"),
+        ("ball", {"grid": 65}, "grid: must be in [1, 64], got 65"),
+        ("coordinate", {"grid": 65}, "grid: must be in [1, 64], got 65"),
+        ("partial_order", {"poset": "chain", "size": 30}, "size: must be in [1, 16], got 30"),
+        ("partial_order", {"poset": "antichain", "size": 17}, "size: must be in [1, 16], got 17"),
+        ("partial_order", {"poset": "lattice"}, "poset: expected one of"),
+        ("complete", {"n": 2, "class_size": 4}, "class_size: must be in [1, 2**n), got 4"),
+        ("example1", {"m": 3}, "m: unknown key"),
+        ("example2", {}, "p: missing required key"),
+        ("example2", {"p": [0.5, 0.5]}, "p: expected a list of 4 entries, got 2"),
+        ("example2", {"p": [0.5, 0.5, 0.5, 0.5]}, "p: probabilities sum to 2.0"),
+        ("obs1", {}, "d: missing required key"),
+        ("obs1", {"d": 5}, "d: must be in [1, 4], got 5"),
+    ])
+    def test_bad_scenario_param_exits_2(self, tmp_path, capsys, generator, params, where):
+        path = write_config(tmp_path, {"scenario": {"generator": generator, "params": params}})
+        assert_one_config_error(
+            capsys, main(["eval", "--config", path]), f"config error: scenario.params.{where}"
+        )
+
+    def test_fractional_inline_size_exits_2(self, tmp_path, capsys):
+        inline = {"size": 3.5, "edges": [], "family": {"family": "constants"},
+                  "weights": [[0.5, 0], [0.25, 0], [0.25, 0]]}
+        path = write_config(tmp_path, {"scenario": {"inline": inline}})
+        assert_one_config_error(
+            capsys, main(["eval", "--config", path]),
+            "config error: scenario.inline.size: expected an integer in [1, 4096], got 3.5",
+        )
+
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--workers", "0")])
+    def test_flags_are_checked_as_top_level_keys(self, tmp_path, capsys, flag, value):
+        path = write_config(tmp_path, {"scenario": EXAMPLE2_SPEC})
+        assert_one_config_error(
+            capsys, main(["eval", "--config", path, flag, value]),
+            f"config error: {flag[2:]}: must be in [1, inf), got 0",
         )
 
     def test_trials_override_is_range_checked(self):
@@ -408,7 +475,7 @@ class TestCliBadParameters:
         path = write_config(tmp_path, {"scenario": EXAMPLE2_SPEC, "vc": vc})
         key = next(iter(vc))
         assert_one_config_error(
-            capsys, main(["vc", "--config", path]), f"config error: vc.{key}: must be >="
+            capsys, main(["vc", "--config", path]), f"config error: vc.{key}: must be in ["
         )
 
     @pytest.mark.parametrize("text, where", [
