@@ -183,6 +183,13 @@ _RANDOM = {
 }
 
 
+def _random(**params) -> Scenario:
+    try:
+        return gen_random(**params)
+    except ValueError as e:  # the draws found too few distinct candidate graphs
+        raise ConfigError(f"scenario.params.n_graphs: {e}") from e
+
+
 def _example2(p: list) -> Scenario:
     try:
         return gen_example2(*p)
@@ -209,7 +216,7 @@ _GENERATORS: dict[str, tuple[dict, Callable[..., Scenario], tuple]] = {
         partial(gen_component_case, "ball"), (),
     ),
     "coordinate": ({"grid": (3, _GRID)}, partial(gen_component_case, "coordinate"), ()),
-    "random": (_RANDOM, gen_random, ()),
+    "random": (_RANDOM, _random, ()),
 }
 
 _SCENARIO = {"generator": (str, None), "params": (dict, None), "inline": (dict, None)}
@@ -250,6 +257,10 @@ def load_config(path: str, overrides: Optional[dict[str, Any]] = None) -> RunCon
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from e
+    except ValueError as e:  # an integer literal past Python's digit limit
+        raise ConfigError(f"{path}: unreadable number: {str(e).split(';')[0]}") from e
+    except RecursionError as e:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from e
     data = _check_param(path, data, dict, None)
     top = _merge_params("", {**data, **(overrides or {})}, _TOP)
     cfg = RunConfig(path, **{k: top[k] for k in ("seed", "trials", "workers", "out") if k in top})
@@ -282,7 +293,14 @@ def _scenario_params(spec, run_seed: int) -> tuple[Callable[..., Scenario], dict
     params = dict(spec.get("params", {}))
     if name == "random":
         params.setdefault("seed", run_seed)
-    return builder, _merge_params("scenario.params", params, table, required)
+    params = _merge_params("scenario.params", params, table, required)
+    if name == "random":  # n points carry 2**(n * (n - 1)) distinct graphs
+        n, count = params["n_points"], params["n_graphs"]
+        limit = 2 ** min(n * (n - 1), 64)
+        _expect(count <= limit, "scenario.params.n_graphs",
+                f"must be at most {limit}, the number of distinct graphs on "
+                f"{n} point{'s' if n > 1 else ''}, got {count}")
+    return builder, params
 
 
 def build_scenario(spec: Optional[dict], run_seed: int) -> Scenario:

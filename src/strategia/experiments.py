@@ -53,7 +53,9 @@ from .learners import (
     ic_erm,
     singleton_decisions,
     singleton_learner,
+    trial_generators,
     trial_seed,
+    trial_seeds,
 )
 from .losses import (
     LossKind,
@@ -118,9 +120,12 @@ def _run_seeded(kernel: Callable, shared, items: Sequence, workers: int) -> list
         return list(ex.map(partial(kernel, shared), items, chunksize=chunk))
 
 
-# A block holds at most _BLOCK_TRIALS trials of n values each and at most
-# _BLOCK_DRAWS values (the largest thm4 item at the benchmark's 500 trials):
-# n uniforms per sample, or n instance-array entries per thm5 draw.
+# A block, one item of the process pool, holds at most _BLOCK_TRIALS trials
+# of n values each and at most _BLOCK_DRAWS values (the largest thm4 item at
+# the benchmark's 500 trials): n uniforms per sample, or n instance-array
+# entries per thm5 draw. Uniforms are never held for a whole block:
+# learners.cell_counts streams them through its own small block, so the
+# bound sizes the work of one item; a thm5 block does hold its instances.
 _BLOCK_DRAWS = 500 * 1600
 _BLOCK_TRIALS = 256
 
@@ -132,12 +137,16 @@ def _trial_blocks(first: int, trials: int, n: int) -> list[tuple[int, int]]:
     return [(t, min(size, first + trials - t)) for t in range(first, first + trials, size)]
 
 
-def _trial_uniforms(master: int, first: int, count: int, n: int) -> np.ndarray:
-    """count x n uniforms, row j from trial first + j's own generator."""
-    u = np.empty((count, n))
-    for j, row in enumerate(u):
-        np.random.Generator(np.random.PCG64(trial_seed(master, first + j))).random(out=row)
-    return u
+def _trial_rows(master: int, first: int, count: int) -> Callable:
+    """A cell_counts fill whose row j is the uniforms of trial first + j's
+    own generator."""
+    rngs = trial_generators(trial_seeds(master, first, count))
+
+    def fill(out: np.ndarray) -> None:
+        for row, rng in zip(out, rngs):
+            rng.random(out=row)
+
+    return fill
 
 
 def describe_hypothesis(h: Hypothesis) -> str:
@@ -448,7 +457,7 @@ def _thm3_block(shared, item) -> int:
     targets, master, per_eps = shared
     ei, first, count = item
     P, cum, n, eps, loss_by_point = per_eps[ei]
-    counts = cell_counts(cum, _trial_uniforms(master, first, count, n))
+    counts = cell_counts(cum, count, n, _trial_rows(master, first, count))
     accepted, broken = singleton_decisions(counts[:, 1::2] > 0, targets)
     if broken.any():  # the scalar learner raises the RealizabilityError
         singleton_learner(draw_sample(P, n, trial_seed(master, first + int(broken.argmax()))), targets)
@@ -515,7 +524,7 @@ def _thm4_erm_excess(shared, item) -> np.ndarray:
     instance; shared[instance] is (int64 loss tables, expected losses, cum)."""
     instance, n, trials, unit_seed = item
     tables, expected, cum = shared[instance]
-    counts = cell_counts(cum, np.random.Generator(np.random.PCG64(unit_seed)).random((trials, n)))
+    counts = cell_counts(cum, trials, n, np.random.Generator(np.random.PCG64(unit_seed)).random)
     picks = (counts @ tables.T).argmin(axis=1)  # lowest index on ties, same rule as erm()
     return expected[picks] - expected.min()
 
@@ -602,9 +611,8 @@ def _thm5_block(shared, item) -> list[tuple]:
     first, count = item
     ks = range(first, first + count)
     drawn = [
-        _random_arrays(np.random.Generator(np.random.PCG64(trial_seed(master, _THM5_BASE + k))),
-                       n_points, n_hypotheses, density, n_graphs=1)
-        for k in ks
+        _random_arrays(rng, n_points, n_hypotheses, density, n_graphs=1)
+        for rng in trial_generators(trial_seeds(master, _THM5_BASE + first, count))
     ]
     members = [k % n_hypotheses for k in ks]
     reports = _surrogate_chain(
@@ -740,7 +748,7 @@ def _uc_block(shared, item) -> tuple[np.ndarray, np.ndarray]:
     component mismatch matrix."""
     diff, true_d, cum, margin, master = shared
     n, first, count = item
-    counts = cell_counts(cum, _trial_uniforms(master, first, count, n))
+    counts = cell_counts(cum, count, n, _trial_rows(master, first, count))
     per = (counts @ diff.T).reshape(count, true_d.shape[0], -1).max(axis=2) / n
     li = per.argmin(axis=1)  # lowest index on ties, same rule as graph_erm()
     covered = true_d[li] < per[np.arange(count), li] + margin

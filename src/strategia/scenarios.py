@@ -279,12 +279,15 @@ def gen_component_case(which: str, **params) -> Scenario:
         )
         n = grid * grid
         domain = FiniteDomain(n, coords)
-        edges = []
-        for i in range(n):
-            for j in range(n):
-                if i != j and float(np.sum(np.abs(coords[i] - coords[j]) ** p) ** (1 / p)) <= radius:
-                    edges.append((i, j))
-        graph = ManipulationGraph(domain, edges)
+        # Coordinates differ by whole offsets (|dx|, |dy|), so the p-norm of
+        # each of the grid**2 offsets is computed once, by the scalar
+        # expression of one point pair: a broadcast ** p may round otherwise.
+        near = np.array([
+            [float(np.sum(np.array([dx, dy], dtype=float) ** p) ** (1 / p)) <= radius
+             for dy in range(grid)]
+            for dx in range(grid)
+        ])
+        graph = ManipulationGraph.from_adjacency(domain, _grid_adjacency(grid, near))
         weight_grid = [list(w) for w in product((-2, -1, 0, 1, 2), repeat=2)]
         biases = list(range(-3, 4))
         hclass = halfspace_class(domain, weight_grid, biases)
@@ -302,12 +305,10 @@ def gen_component_case(which: str, **params) -> Scenario:
         )
         n = grid * grid
         domain = FiniteDomain(n, coords)
-        edges = []
-        for i in range(n):
-            for j in range(n):
-                if i != j and int(np.sum(coords[i] != coords[j])) == 1:
-                    edges.append((i, j))
-        graph = ManipulationGraph(domain, edges)
+        # an edge changes exactly one coordinate
+        step = np.arange(grid) > 0
+        near = step[:, None] != step[None, :]
+        graph = ManipulationGraph.from_adjacency(domain, _grid_adjacency(grid, near))
         weight_grid = [list(w) for w in product((-1, 0, 1), repeat=2)]
         hclass = halfspace_class(domain, weight_grid, [0.0])
         return Scenario(
@@ -316,6 +317,16 @@ def gen_component_case(which: str, **params) -> Scenario:
         )
 
     raise ValueError(f"unknown component case {which!r}")
+
+
+def _grid_adjacency(grid: int, near: np.ndarray) -> np.ndarray:
+    """Adjacency of the grid * grid points (point i * grid + j at (i, j))
+    that joins two distinct points exactly when near[|dx|, |dy|]."""
+    offset = np.abs(np.arange(grid)[:, None] - np.arange(grid)[None, :])
+    # adj[a, b, c, d] = near[|a - c|, |b - d|] for points (a, b) and (c, d)
+    adj = near[offset][:, :, offset].transpose(0, 2, 1, 3).reshape(grid * grid, grid * grid)
+    adj.flat[:: grid * grid + 1] = False
+    return adj
 
 
 def _reject_extra(params: dict) -> None:
@@ -373,7 +384,9 @@ def _random_arrays(
     while len(candidates) < n_graphs:
         attempts += 1
         if attempts > 1000 * n_graphs:
-            raise ValueError("could not draw distinct candidate graphs")
+            raise ValueError(
+                f"could not draw {n_graphs} distinct candidate graphs in {1000 * n_graphs} tries"
+            )
         d = float(rng.uniform(max(0.05, density - 0.2), min(0.95, density + 0.2)))
         a = _random_adjacency(rng, n_points, d)
         key = a.tobytes()

@@ -442,12 +442,36 @@ class TestCliBadParameters:
         ("example2", {"p": [0.5, 0.5, 0.5, 0.5]}, "p: probabilities sum to 2.0"),
         ("obs1", {}, "d: missing required key"),
         ("obs1", {"d": 5}, "d: must be in [1, 4], got 5"),
+        # one point carries only the empty graph, two points 2**2 graphs
+        ("random", {"n_points": 1, "n_hypotheses": 2, "n_graphs": 2},
+         "n_graphs: must be at most 1, the number of distinct graphs on 1 point, got 2"),
+        ("random", {"n_points": 2, "n_hypotheses": 2, "n_graphs": 5},
+         "n_graphs: must be at most 4, the number of distinct graphs on 2 points, got 5"),
+        # 64 graphs on 3 points exist, but at density 0 the draws of seed 3
+        # miss one of them within the 64 000 tries
+        ("random", {"n_points": 3, "n_hypotheses": 2, "n_graphs": 64, "density": 0.0, "seed": 3},
+         "n_graphs: could not draw 64 distinct candidate graphs in 64000 tries"),
     ])
     def test_bad_scenario_param_exits_2(self, tmp_path, capsys, generator, params, where):
         path = write_config(tmp_path, {"scenario": {"generator": generator, "params": params}})
         assert_one_config_error(
             capsys, main(["eval", "--config", path]), f"config error: scenario.params.{where}"
         )
+
+    @pytest.mark.parametrize("n_points, n_graphs", [(1, 1), (2, 4)])
+    def test_every_graph_of_a_small_domain_can_be_drawn(self, n_points, n_graphs):
+        spec = {"generator": "random",
+                "params": {"n_points": n_points, "n_hypotheses": 2, "n_graphs": n_graphs}}
+        assert len(set(build_scenario(spec, 0).graph_class)) == n_graphs
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "[" * 100_000])
+    def test_unreadable_json_exits_2(self, tmp_path, capsys, text):
+        """A number past Python's 4300-digit limit, or nesting past its
+        recursion limit."""
+        path = tmp_path / "huge.json"
+        path.write_text('{"seed": ' + text + "}", encoding="utf-8")
+        assert_one_config_error(capsys, main(["eval", "--config", str(path)]),
+                                f"config error: {path}: ")
 
     def test_fractional_inline_size_exits_2(self, tmp_path, capsys):
         inline = {"size": 3.5, "edges": [], "family": {"family": "constants"},

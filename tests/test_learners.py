@@ -1,6 +1,8 @@
 """Tests for sampling, seed derivation, and empirical risk minimizers."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,7 +32,18 @@ from strategia import (
     splitmix64,
     trial_seed,
 )
-from strategia.learners import _GUIDE_BUCKETS, _guide_table, inverse_cdf, singleton_decisions
+from strategia import learners
+from strategia.learners import (
+    _COUNT_BLOCK,
+    _GUIDE_BUCKETS,
+    _guide_table,
+    cell_counts,
+    inverse_cdf,
+    singleton_decisions,
+    trial_generators,
+    trial_seeds,
+)
+from strategia.scenarios import _random_arrays
 from strategia.losses import effective_hypothesis
 from strategia import oracles
 
@@ -73,6 +86,78 @@ class TestSeedDerivation:
     def test_trial_seeds_distinct_across_small_counters(self):
         seeds = {trial_seed(7, t) for t in range(10_000)}
         assert len(seeds) == 10_000
+
+
+def numpy_generators(seeds):
+    return [np.random.Generator(np.random.PCG64(s)) for s in seeds.tolist()]
+
+
+# Edge seeds of the bulk set-up: the ends of the one- and two-word entropy
+# ranges of numpy's seed sequence.
+EDGE_SEEDS = np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+
+
+class TestBulkTrialGenerators:
+    """trial_generators sets every trial up in bulk and must equal
+    Generator(PCG64(trial_seed(m, t))) value for value."""
+
+    @given(st.integers(-(2**70), 2**70), st.integers(0, 2**40), st.integers(0, 40))
+    def test_trial_seeds_equal_trial_seed(self, master, first, count):
+        seeds = trial_seeds(master, first, count)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [trial_seed(master, first + j) for j in range(count)]
+
+    def test_states_equal_numpy_on_ten_thousand_seeds(self):
+        assert learners._bulk_seeding_matches()  # not the fallback
+        seeds = np.concatenate([EDGE_SEEDS, trial_seeds(12345, 0, 10_000)])
+        got = [rng.bit_generator.state for rng in trial_generators(seeds)]
+        assert got == [np.random.PCG64(s).state for s in seeds.tolist()]
+
+    @pytest.mark.parametrize("n", [1, 26, 64, 65, 3200])
+    def test_rows_equal_numpy(self, n):
+        seeds = np.concatenate([EDGE_SEEDS, trial_seeds(2**64 - 1, 7, 200)])
+        got = np.stack([rng.random(n) for rng in trial_generators(seeds)])
+        want = np.stack([rng.random(n) for rng in numpy_generators(seeds)])
+        assert np.array_equal(got, want)
+
+    def test_integers_after_random(self):
+        """Three 32-bit draws leave half a 64-bit output buffered; the next
+        trial must not start from it."""
+        def draws(rng):
+            return rng.random(2).tolist(), rng.integers(0, 2, 3).tolist()
+
+        seeds = np.concatenate([EDGE_SEEDS, trial_seeds(99, 0, 300)])
+        assert [draws(rng) for rng in trial_generators(seeds)] == [
+            draws(rng) for rng in numpy_generators(seeds)
+        ]
+
+    def test_random_arrays_draws_equal_numpy(self):
+        seeds = trial_seeds(31, 30_000_000, 40)
+
+        def arrays(rng):
+            a = _random_arrays(rng, 8, 6, 0.35, n_graphs=1)
+            return a.adj.tobytes(), a.labels.tobytes(), a.weights.tobytes(), a.candidates[0].tobytes()
+
+        assert [arrays(rng) for rng in trial_generators(seeds)] == [
+            arrays(rng) for rng in numpy_generators(seeds)
+        ]
+
+    def test_mismatch_falls_back_to_numpy(self, monkeypatch):
+        monkeypatch.setattr(learners, "_PCG_MULT", learners._PCG_MULT + 2)
+        monkeypatch.setattr(learners, "_bulk_seeding_ok", None)
+        seeds = trial_seeds(5, 0, 20)
+        got = [rng.random(3).tolist() for rng in trial_generators(seeds)]
+        assert learners._bulk_seeding_ok is False
+        assert got == [rng.random(3).tolist() for rng in numpy_generators(seeds)]
+
+    def test_check_is_lazy(self):
+        code = (
+            "import strategia, strategia.learners as l, numpy as np\n"
+            "assert l._bulk_seeding_ok is None\n"
+            "next(l.trial_generators(np.zeros(1, np.uint64)))\n"
+            "assert l._bulk_seeding_ok is True\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestDrawSample:
@@ -183,6 +268,67 @@ class TestInverseCdf:
     def test_single_cell(self):
         u = np.random.default_rng(4).random(5000)
         assert not inverse_cdf(np.array([1.0]), u).any()
+
+
+def one_shot_cell_counts(cum, u):
+    """The trials x cells counts from one inverse_cdf and one bincount."""
+    trials, n_cells = u.shape[0], cum.shape[0]
+    flat = inverse_cdf(cum, u).reshape(trials, -1) + (np.arange(trials) * n_cells)[:, None]
+    return np.bincount(flat.ravel(), minlength=trials * n_cells).reshape(trials, n_cells)
+
+
+def fill_from(u, calls):
+    """A cell_counts fill that hands out the rows of u in order and records
+    each block's row count."""
+    pos = 0
+
+    def fill(out):
+        nonlocal pos
+        calls.append(len(out))
+        out[...] = u[pos : pos + len(out)]
+        pos += len(out)
+
+    return fill
+
+
+class TestCellCounts:
+    @settings(max_examples=40)
+    @given(cdf_cases(), st.integers(1, 700))
+    def test_streamed_equals_one_shot(self, case, n):
+        """Uniforms on every bucket edge and beside every cumulative weight,
+        over zero-weight and trailing zero-weight cells."""
+        _, cum, u = case
+        trials = u.size // n
+        if trials == 0:
+            return
+        u = u[: trials * n].reshape(trials, n)
+        calls = []
+        got = cell_counts(cum, trials, n, fill_from(u, calls))
+        assert got.dtype == np.int64 and np.array_equal(got, one_shot_cell_counts(cum, u))
+        assert sum(calls) == trials and max(calls) == min(trials, max(1, _COUNT_BLOCK // n))
+
+    @pytest.mark.parametrize("n", [26, 1000, _COUNT_BLOCK + 3])
+    def test_blocks_that_do_not_divide_the_trials(self, n):
+        """2.5 blocks of rows; a row longer than one block is a block alone."""
+        rows = max(1, _COUNT_BLOCK // n)
+        trials = 2 * rows + rows // 2 + 1
+        cum = np.cumsum([0.0, 0.25, 0.0, 0.125, 0.625, 0.0, 0.0])
+        u = np.random.default_rng(n).random((trials, n))
+        u[0, :5] = [cum[1], cum[3], np.nextafter(cum[4], 0.0), cum[4], np.nextafter(1.0, 0.0)]
+        calls = []
+        got = cell_counts(cum, trials, n, fill_from(u, calls))
+        assert np.array_equal(got, one_shot_cell_counts(cum, u))
+        assert calls == [rows, rows, trials - 2 * rows]
+        assert not got[:, [0, 2, 5, 6]].any()
+
+    def test_generator_fill_reads_one_stream(self):
+        """A Generator's random fills the blocks in stream order, as one
+        trials x n draw does."""
+        cum = np.cumsum(np.full(16, 1 / 16))
+        trials, n = 500, 1600
+        got = cell_counts(cum, trials, n, np.random.Generator(np.random.PCG64(8)).random)
+        u = np.random.Generator(np.random.PCG64(8)).random((trials, n))
+        assert np.array_equal(got, one_shot_cell_counts(cum, u))
 
 
 class TestErm:

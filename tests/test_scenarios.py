@@ -170,6 +170,33 @@ class TestComponentCases:
         for i, j in sc.graph.edges():
             assert int(np.sum(coords[i] != coords[j])) == 1
 
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.7, 2.0, 3.0])
+    def test_ball_graph_equals_the_pairwise_loop(self, p):
+        """The offset-table build gives the edges of one scalar p-norm test
+        per ordered point pair. The radii include distances that occur, so
+        points on the sphere are tested too."""
+        for grid in range(1, 13):
+            coords = gen_component_case("coordinate", grid=grid).domain.coords
+            n = grid * grid
+            dist = np.array([
+                [float(np.sum(np.abs(coords[i] - coords[j]) ** p) ** (1 / p)) for j in range(n)]
+                for i in range(n)
+            ])
+            on_sphere = [dist[0, a * grid + b] for a, b in ((1, 1), (2, 1), (1, 2), (3, 3))
+                         if max(a, b) < grid]
+            for radius in (0.0, 1.0, 1.5, 2 ** 0.5, *on_sphere, 40.0):
+                adj = gen_component_case("ball", grid=grid, radius=float(radius), p=p).graph.adj
+                assert np.array_equal(adj, (dist <= radius) & ~np.eye(n, dtype=bool)), (grid, radius)
+
+    def test_coordinate_graph_equals_the_pairwise_loop(self):
+        for grid in range(1, 13):
+            sc = gen_component_case("coordinate", grid=grid)
+            coords, n = sc.domain.coords, grid * grid
+            one_axis = np.array([
+                [int(np.sum(coords[i] != coords[j])) == 1 for j in range(n)] for i in range(n)
+            ])
+            assert np.array_equal(sc.graph.adj, one_axis)
+
     def test_unknown_case_and_poset_rejected(self):
         with pytest.raises(ValueError):
             gen_component_case("moebius")
