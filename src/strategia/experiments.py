@@ -46,7 +46,9 @@ from .graphdist import (
     surrogate_bounds,
 )
 from .learners import (
+    _COUNT_BLOCK,
     _singleton_hypothesis,
+    _word_uniforms,
     cell_counts,
     draw_sample,
     erm,
@@ -55,6 +57,7 @@ from .learners import (
     singleton_learner,
     trial_generators,
     trial_seed,
+    trial_rows,
     trial_seeds,
 )
 from .losses import (
@@ -135,18 +138,6 @@ def _trial_blocks(first: int, trials: int, n: int) -> list[tuple[int, int]]:
     first .. first + trials - 1 of n values each."""
     size = max(1, min(_BLOCK_TRIALS, _BLOCK_DRAWS // n))
     return [(t, min(size, first + trials - t)) for t in range(first, first + trials, size)]
-
-
-def _trial_rows(master: int, first: int, count: int) -> Callable:
-    """A cell_counts fill whose row j is the uniforms of trial first + j's
-    own generator."""
-    rngs = trial_generators(trial_seeds(master, first, count))
-
-    def fill(out: np.ndarray) -> None:
-        for row, rng in zip(out, rngs):
-            rng.random(out=row)
-
-    return fill
 
 
 def describe_hypothesis(h: Hypothesis) -> str:
@@ -457,7 +448,7 @@ def _thm3_block(shared, item) -> int:
     targets, master, per_eps = shared
     ei, first, count = item
     P, cum, n, eps, loss_by_point = per_eps[ei]
-    counts = cell_counts(cum, count, n, _trial_rows(master, first, count))
+    counts = cell_counts(cum, count, n, trial_rows(master, first, count, n))
     accepted, broken = singleton_decisions(counts[:, 1::2] > 0, targets)
     if broken.any():  # the scalar learner raises the RealizabilityError
         singleton_learner(draw_sample(P, n, trial_seed(master, first + int(broken.argmax()))), targets)
@@ -524,7 +515,8 @@ def _thm4_erm_excess(shared, item) -> np.ndarray:
     instance; shared[instance] is (int64 loss tables, expected losses, cum)."""
     instance, n, trials, unit_seed = item
     tables, expected, cum = shared[instance]
-    counts = cell_counts(cum, trials, n, np.random.Generator(np.random.PCG64(unit_seed)).random)
+    bitgen = np.random.PCG64(unit_seed)
+    counts = cell_counts(cum, trials, n, lambda r, rows: bitgen.random_raw((rows, n)))
     picks = (counts @ tables.T).argmin(axis=1)  # lowest index on ties, same rule as erm()
     return expected[picks] - expected.min()
 
@@ -602,26 +594,86 @@ def _exp_thm4(spec, params, seed, workers) -> ExperimentResult:
 # thm5: the loss-transfer chain on random instances
 
 
+def _thm5_arrays(shared, first: int, count: int) -> tuple[np.ndarray, ...]:
+    """Labels, adjacency, candidate adjacency and weights of draws first ..
+    first + count - 1, each stacked over the draws: what _random_arrays(...,
+    n_graphs=1) draws from trial _THM5_BASE + k's generator.
+
+    A draw is decoded from its generator's raw words (learners.trial_words)
+    in _random_arrays' order: n * n adjacency uniforms, the m * n labels
+    (_coin_flips; with m * n odd the last high half is never read, as random
+    draws whole words), 2 * n weight uniforms, one uniform for the
+    candidate's density and n * n candidate uniforms. The weights are divided
+    by their sum, and the density is uniform's low + (high - low) * u. That
+    holds when the first m labelings are distinct; a draw whose labelings
+    repeat, or whose words exceed _COUNT_BLOCK, is drawn by _random_arrays
+    itself.
+    """
+    n, m, density, master = shared
+    nn, half = n * n, (m * n + 1) // 2
+    width = 2 * nn + half + 2 * n + 1
+    labels = np.empty((count, m, n), dtype=bool)
+    adj = np.empty((count, n, n), dtype=bool)
+    cand = np.empty((count, n, n), dtype=bool)
+    weights = np.empty((count, n, 2))
+    if width > _COUNT_BLOCK:
+        redraw = np.ones(count, dtype=bool)
+    else:
+        low, high = max(0.05, density - 0.2), min(0.95, density + 0.2)
+        step = _COUNT_BLOCK // width
+        read = trial_rows(master, _THM5_BASE + first, count, width)
+        for r in range(0, count, step):
+            words = read(r, min(step, count - r))
+            rows = slice(r, r + len(words))
+            adj[rows] = (_word_uniforms(words[:, :nn]) < density).reshape(-1, n, n)
+            labels[rows] = _coin_flips(words[:, nn : nn + half], m * n).reshape(-1, m, n)
+            w = _word_uniforms(words[:, nn + half : nn + half + 2 * n])
+            weights[rows] = (w / w.sum(axis=1, keepdims=True)).reshape(-1, n, 2)
+            d = low + (high - low) * _word_uniforms(words[:, -nn - 1])
+            cand[rows] = (_word_uniforms(words[:, -nn:]) < d[:, None]).reshape(-1, n, n)
+        for a in (adj, cand):
+            a.reshape(count, nn)[:, :: n + 1] = False  # no self-loops
+        redraw = _repeats_a_row(labels)
+    drawn = np.flatnonzero(redraw)
+    seeds = trial_seeds(master, _THM5_BASE + first, count)[drawn]
+    for j, rng in zip(drawn.tolist(), trial_generators(seeds)):
+        a = _random_arrays(rng, n, m, density, n_graphs=1)
+        labels[j], adj[j], cand[j], weights[j] = a.labels, a.adj, a.candidates[0], a.weights
+    return labels, adj, cand, weights
+
+
+def _coin_flips(words: np.ndarray, count: int) -> np.ndarray:
+    """The first count values of Generator.integers(0, 2) drawn from each row
+    of raw words, as booleans. Each value takes one 32-bit half, the low half
+    first, and Lemire's method maps a half h to h >> 31: value 2i is bit 31
+    of word i and value 2i + 1 its bit 63."""
+    bits = words[:, :, None] >> np.array([31, 63], dtype=np.uint64)
+    return (bits & np.uint64(1)).astype(bool).reshape(len(words), -1)[:, :count]
+
+
+def _repeats_a_row(rows: np.ndarray) -> np.ndarray:
+    """Which of the stacked boolean matrices hold a row twice."""
+    count, m, n = rows.shape
+    packed = np.packbits(rows, axis=2)
+    if n > 64:
+        return np.array([len({r.tobytes() for r in matrix}) < m for matrix in packed])
+    keys = np.zeros((count, m, 8), dtype=np.uint8)
+    keys[:, :, : packed.shape[2]] = packed
+    keys = np.sort(keys.view(np.uint64)[:, :, 0], axis=1)
+    return (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+
+
 def _thm5_block(shared, item) -> list[tuple]:
     """Table rows of one block of draws. Draw k is the surrogate chain of
     member k % n_hypotheses on the random instance that
-    gen_random(seed=trial_seed(master, _THM5_BASE + k), n_graphs=1) builds,
-    drawn from that generator by the same array drawer."""
-    n_points, n_hypotheses, density, master = shared
+    gen_random(seed=trial_seed(master, _THM5_BASE + k), n_graphs=1) builds
+    (see _thm5_arrays)."""
+    n_hypotheses = shared[1]
     first, count = item
     ks = range(first, first + count)
-    drawn = [
-        _random_arrays(rng, n_points, n_hypotheses, density, n_graphs=1)
-        for rng in trial_generators(trial_seeds(master, _THM5_BASE + first, count))
-    ]
     members = [k % n_hypotheses for k in ks]
-    reports = _surrogate_chain(
-        np.stack([d.labels for d in drawn]),
-        np.stack([d.adj for d in drawn]),
-        np.stack([d.candidates[0] for d in drawn]),
-        np.stack([d.weights for d in drawn]),
-        members,
-    )
+    labels, adj, cand, weights = _thm5_arrays(shared, first, count)
+    reports = _surrogate_chain(labels, adj, cand, weights, members)
     return [
         (k, h_i, rep.true_strategic, rep.binary, rep.surrogate_component,
          rep.surrogate_strategic, rep.distance, rep.upper1, rep.upper2,
@@ -748,7 +800,7 @@ def _uc_block(shared, item) -> tuple[np.ndarray, np.ndarray]:
     component mismatch matrix."""
     diff, true_d, cum, margin, master = shared
     n, first, count = item
-    counts = cell_counts(cum, count, n, _trial_rows(master, first, count))
+    counts = cell_counts(cum, count, n, trial_rows(master, first, count, n))
     per = (counts @ diff.T).reshape(count, true_d.shape[0], -1).max(axis=2) / n
     li = per.argmin(axis=1)  # lowest index on ties, same rule as graph_erm()
     covered = true_d[li] < per[np.arange(count), li] + margin

@@ -10,7 +10,10 @@ membership columns are OR-ed into one trace code per (candidate, set), and a
 candidate is shattered when its codes take all 2^k values. Levels stay in
 lexicographic order, so the first shattered row is the lexicographically
 smallest witness. The search stops at the first level with no shattered set
-or with fewer sets than 2^k. Desk-scale caps keep it honest: the default
+or with fewer sets than 2^k. A tiny system, whose subsets of every searched
+size give at most one batch of trace codes, skips the levels: every subset
+is tested in one pass, which is cheaper than a level's set-up when a level
+has a handful of candidates. Desk-scale caps keep it honest: the default
 ground limit is 40 elements and the default dimension cap is 6 ("at least
 cap" is reported when the cap is reached).
 """
@@ -18,6 +21,9 @@ cap" is reported when the cap is reached).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -132,13 +138,13 @@ def class_system(H: HypothesisClass) -> SetSystem:
     return SetSystem(tuple(range(n)), (tuple(int(i) for i in h.positives()) for h in H))
 
 
-def _shattered_rows(columns: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Which rows of ``cand`` (candidates x k ground indices) are shattered.
+def _trace_hits(columns: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Which traces the sets leave on each row of ``cand`` (candidates x k
+    ground indices), as a candidates x 2^k boolean table.
 
     ``columns`` is the membership matrix transposed (ground x sets). Each
     candidate's member columns are OR-ed, shifted by position, into one trace
-    code per set; the candidate is shattered when its codes cover all 2^k
-    values, which a scatter into a candidates x 2^k table counts.
+    code per set, and the codes are scattered into the table.
     """
     b, k = cand.shape
     codes = np.repeat((np.arange(b, dtype=np.intp) << k)[:, None], columns.shape[1], axis=1)
@@ -146,7 +152,41 @@ def _shattered_rows(columns: np.ndarray, cand: np.ndarray) -> np.ndarray:
         codes |= np.left_shift(columns[cand[:, j]], j, dtype=np.intp)
     hit = np.zeros(b << k, dtype=bool)
     hit[codes.ravel()] = True
-    return hit.reshape(b, 1 << k).all(axis=1)
+    return hit.reshape(b, 1 << k)
+
+
+def _shattered_rows(columns: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Which rows of ``cand`` are shattered: their codes take all 2^k values."""
+    return _trace_hits(columns, cand).all(axis=1)
+
+
+@lru_cache(maxsize=64)
+def _all_subsets(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every nonempty subset of range(n) of at most k elements, by size and
+    then lexicographically, as rows padded with n to k columns, and their
+    sizes."""
+    subsets = [c for size in range(1, k + 1) for c in combinations(range(n), size)]
+    rows = np.full((len(subsets), k), n, dtype=np.intp)
+    for r, c in enumerate(subsets):
+        rows[r, : len(c)] = c
+    sizes = np.array([len(c) for c in subsets], dtype=np.intp)
+    rows.setflags(write=False)  # shared by every call through the cache
+    sizes.setflags(write=False)
+    return rows, sizes
+
+
+def _direct_search(columns: np.ndarray, top: int) -> tuple[int, tuple[int, ...]]:
+    """The largest shattered set of at most ``top`` elements and the
+    lexicographically smallest one of that size, from one trace table of
+    every subset. A padded column is the empty column n, which leaves the
+    padded bits 0, so a set of size s is shattered when it hits 2^s codes."""
+    cand, sizes = _all_subsets(columns.shape[0], top)
+    padded = np.vstack((columns, np.zeros((1, columns.shape[1]), dtype=columns.dtype)))
+    shattered = np.flatnonzero(_trace_hits(padded, cand).sum(axis=1) == 1 << sizes)
+    if len(shattered) == 0:
+        return 0, ()
+    best = shattered[np.argmax(sizes[shattered])]
+    return int(sizes[best]), tuple(int(i) for i in cand[best, : sizes[best]])
 
 
 def _next_level(
@@ -206,6 +246,27 @@ def _shattered_level(
     return np.concatenate(rows), np.concatenate(drops)
 
 
+def _levelwise_search(columns: np.ndarray, top: int) -> tuple[int, tuple[int, ...]]:
+    """The largest shattered set of at most ``top`` elements and the
+    lexicographically smallest one of that size, level by level."""
+    n = columns.shape[0]
+    best_k, best_witness = 0, ()
+    rows = drops = np.empty((0, 0), dtype=np.intp)
+    for k in range(1, top + 1):
+        if k == 1:
+            # every singleton drops to the empty set, the one row of level 0
+            singles = np.arange(n, dtype=np.intp).reshape(n, 1)
+            batches: Iterable = [(singles, np.zeros_like(singles))]
+        else:
+            batches = _next_level(rows, drops, n)
+        # the next level is never searched, so one witness is enough
+        rows, drops = _shattered_level(columns, batches, first_only=k == top)
+        if len(rows) == 0:
+            break
+        best_k, best_witness = k, tuple(int(i) for i in rows[0])
+    return best_k, best_witness
+
+
 def is_shattered(system: SetSystem, candidate: Iterable[int]) -> bool:
     """Whether the family realizes all 2^k traces on the candidate ground indices."""
     cand = sorted(set(int(i) for i in candidate))
@@ -248,26 +309,14 @@ def vc_dimension(
     if n_sets == 0:
         return VcReport(dimension=-1, witness=())
     columns = np.ascontiguousarray(system.membership.T)
-    best_k = 0
-    best_witness: tuple[int, ...] = ()
     top = min(cap, n)
-    rows = drops = np.empty((0, 0), dtype=np.intp)
-    for k in range(1, top + 1):
-        if n_sets < (1 << k):
-            # growth pruning: fewer sets than required traces
-            return VcReport(dimension=best_k, witness=best_witness)
-        if k == 1:
-            # every singleton drops to the empty set, the one row of level 0
-            singles = np.arange(n, dtype=np.intp).reshape(n, 1)
-            batches: Iterable = [(singles, np.zeros_like(singles))]
-        else:
-            batches = _next_level(rows, drops, n)
-        # the next level is never searched, so one witness is enough
-        first_only = k == top or n_sets < (1 << (k + 1))
-        rows, drops = _shattered_level(columns, batches, first_only)
-        if len(rows) == 0:
-            return VcReport(dimension=best_k, witness=best_witness)
-        best_k, best_witness = k, tuple(int(i) for i in rows[0])
+    # levels with fewer sets than 2^k are never searched
+    searched = min(top, n_sets.bit_length() - 1)
+    # a tiny system: the trace codes of every candidate fit in one batch
+    if n_sets * sum(comb(n, k) for k in range(1, searched + 1)) <= _BATCH:
+        best_k, best_witness = _direct_search(columns, searched)
+    else:
+        best_k, best_witness = _levelwise_search(columns, searched)
     if best_k >= cap:
         return VcReport(dimension=cap, witness=best_witness, capped=True)
     return VcReport(dimension=best_k, witness=best_witness)

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from strategia import cli, graphdist, oracles
+from strategia import cli, experiments, graphdist, oracles
 from strategia.config import build_scenario
 from strategia.domain import Hypothesis, LabeledDistribution
 from strategia.errors import BoundViolationError, ConfigError, RealizabilityError
@@ -26,16 +27,40 @@ from strategia.experiments import (
     vc_table,
 )
 from strategia.graphdist import hpx_distance, surrogate_bounds
-from strategia.learners import draw_sample, inverse_cdf, singleton_learner, trial_seed
+from strategia.learners import draw_sample, inverse_cdf, singleton_learner, trial_seed, trial_seeds
 from strategia.losses import LossKind, class_component_matrix, expected_loss
 from strategia.results import ResultTable, format_value
 from strategia.scenarios import (
+    _random_arrays,
     gen_component_case,
     gen_example2,
     gen_obs1,
     gen_random,
     obs1_distribution,
 )
+
+
+def csv_values():
+    """Values of every type a table cell holds: ints up to 2**200, floats
+    with nan, infinities, signed zeros and subnormals, text, and the types
+    that format_value renders by their own rule: bool, None and numpy
+    scalars."""
+    special = st.sampled_from([
+        math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+        2.2250738585072014e-308, 1.7976931348623157e308, 0.1 + 0.2, 123456789.5,
+    ])
+    return st.one_of(
+        st.integers(-(2**200), 2**200),
+        st.floats(allow_subnormal=True),
+        special,
+        st.text(max_size=5),
+        st.booleans(),
+        st.none(),
+        st.builds(np.float64, st.floats()),
+        st.builds(np.float32, st.floats(width=32)),
+        st.builds(np.int64, st.integers(-(2**63), 2**63 - 1)),
+        st.builds(np.bool_, st.booleans()),
+    )
 
 
 def column(table: ResultTable, name: str) -> list:
@@ -52,6 +77,19 @@ class TestResultTable:
         assert format_value(float("inf")) == "inf"
         assert format_value(float("nan")) == "nan"
         assert format_value(None) == ""
+
+    @settings(max_examples=200)
+    @given(st.lists(st.lists(csv_values(), min_size=3, max_size=3), max_size=12), st.data())
+    def test_row_templates_render_as_format_value(self, rows, data):
+        """Rows of only int, float and str take one cached template per type
+        tuple; any other row takes format_value. Repeated rows reuse the
+        cached templates."""
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=6)) if rows else []
+        t = ResultTable(("a", "b", "c"))
+        for row in rows:
+            t.append(*row)
+        lines = ["a,b,c"] + [",".join(format_value(v) for v in row) for row in rows]
+        assert t.to_csv_text() == "\n".join(lines) + "\n"
 
     def test_row_width_enforced(self):
         t = ResultTable(("a", "b"))
@@ -289,6 +327,12 @@ GOLDEN_CSV_SHA256 = {
         dict(params={"draws": 12, "n_points": 6, "n_hypotheses": 4}, seed=11),
         "bdb7adc07a2e0c2a65f93edb10243aee30cc8ef3a416b3fbbb96c34933bbc8ed",
     ),
+    # 3 points and 5 of the 8 labelings: most draws repeat a labeling and
+    # m * n is odd, so the draws take the fallback drawer.
+    "thm5/repeated-labels": (
+        dict(params={"draws": 600, "n_points": 3, "n_hypotheses": 5}, seed=13),
+        "7d21532588368678b5a0cfcad3c4ded2af7e565dbabed8beca8501b5f92e78ff",
+    ),
     "uniform-conv": (
         dict(params={"n_grid": [20, 80], "trials": 20}, seed=9),
         "16996097005be989d135175cf89486e14cca07873ec9b35e2749dc062b8a8133",
@@ -301,7 +345,7 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
     def test_csv_bytes_are_pinned(self, name, workers):
         kw, digest = GOLDEN_CSV_SHA256[name]
-        csv = run_experiment(name, workers=workers, **kw).table.to_csv_text()
+        csv = run_experiment(name.split("/")[0], workers=workers, **kw).table.to_csv_text()
         assert hashlib.sha256(csv.encode()).hexdigest() == digest
 
 
@@ -494,6 +538,69 @@ class TestThm5Blocks:
         assert k == failing[0]
         with pytest.raises(BoundViolationError, match=f"^{re.escape(str(first.value))}$"):
             run_experiment("thm5", params={"draws": 600}, seed=seed)
+
+
+class TestThm5Decoding:
+    """_thm5_arrays decodes each draw's instance from its generator's raw
+    words; every array must equal what _random_arrays draws from that
+    generator, and draws it cannot decode are drawn by _random_arrays."""
+
+    @staticmethod
+    def _drawn(master, first, count, n_points, n_hypotheses, density=0.35):
+        seeds = trial_seeds(master, _THM5_BASE + first, count).tolist()
+        return [
+            _random_arrays(np.random.Generator(np.random.PCG64(s)), n_points, n_hypotheses,
+                           density, n_graphs=1)
+            for s in seeds
+        ]
+
+    def _check(self, monkeypatch, master, first, count, n_points, n_hypotheses, density=0.35):
+        """Compare every array; return how many draws _random_arrays drew."""
+        redrawn = []
+
+        def spy(rng, *args, **kwargs):
+            redrawn.append(args)
+            return _random_arrays(rng, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_random_arrays", spy)
+        shared = (n_points, n_hypotheses, density, master)
+        labels, adj, cand, weights = experiments._thm5_arrays(shared, first, count)
+        want = self._drawn(master, first, count, n_points, n_hypotheses, density)
+        for got, name in ((labels, "labels"), (adj, "adj"), (weights, "weights")):
+            assert got.dtype == getattr(want[0], name).dtype
+            assert np.array_equal(got, np.stack([getattr(a, name) for a in want])), name
+        assert np.array_equal(cand, np.stack([a.candidates[0] for a in want]))
+        return len(redrawn)
+
+    @pytest.mark.parametrize("n_points, n_hypotheses, low, high", [
+        (1, 1, 0, 0), (1, 2, 1, 79), (3, 5, 1, 79), (3, 7, 60, 79), (3, 8, 80, 80),
+        (8, 6, 1, 79), (8, 1, 0, 0), (12, 9, 0, 0), (12, 200, 60, 79),
+    ])
+    def test_arrays_equal_random_arrays(self, monkeypatch, n_points, n_hypotheses, low, high):
+        """80 draws. m * n is odd at 1 x 1, 3 x 5 and 3 x 7. Between low and
+        high draws repeat a labeling: none with one member or few members
+        on 12 points, every draw that needs all 8 labelings of 3 points,
+        most of 3 x 7 and 12 x 200, some of the others."""
+        assert low <= self._check(monkeypatch, 41, 5, 80, n_points, n_hypotheses) <= high
+
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.8, 1.0])
+    def test_densities_at_the_candidate_bounds(self, monkeypatch, density):
+        self._check(monkeypatch, 43, 0, 40, 5, 4, density)
+
+    @pytest.mark.parametrize("block, redrawn", [(300, 0), (148, 7)])
+    def test_chunks_and_draws_longer_than_a_block(self, monkeypatch, block, redrawn):
+        """A draw of 8 x 1 takes 149 words: chunks of 2 draws, which do not
+        divide 7, and none that fit, where every draw is redrawn."""
+        monkeypatch.setattr(experiments, "_COUNT_BLOCK", block)
+        assert self._check(monkeypatch, 47, 3, 7, 8, 1) == redrawn
+
+    @pytest.mark.parametrize("count", [1, 2, 15, 48, 49])
+    def test_coin_flips_equal_integers(self, count):
+        words = np.random.PCG64(count).random_raw((count + 1) // 2)
+        want = np.random.Generator(np.random.PCG64(count)).integers(0, 2, count)
+        assert np.array_equal(experiments._coin_flips(words[None], count)[0], want.astype(bool))
+        shaped = np.random.Generator(np.random.PCG64(count)).integers(0, 2, (1, count))
+        assert np.array_equal(shaped.ravel(), want)
 
 
 class TestBenchmarkScaleDigests:

@@ -37,11 +37,14 @@ from strategia.learners import (
     _COUNT_BLOCK,
     _GUIDE_BUCKETS,
     _guide_table,
+    _word_uniforms,
     cell_counts,
     inverse_cdf,
     singleton_decisions,
     trial_generators,
+    trial_rows,
     trial_seeds,
+    trial_words,
 )
 from strategia.scenarios import _random_arrays
 from strategia.losses import effective_hypothesis
@@ -153,11 +156,68 @@ class TestBulkTrialGenerators:
     def test_check_is_lazy(self):
         code = (
             "import strategia, strategia.learners as l, numpy as np\n"
-            "assert l._bulk_seeding_ok is None\n"
+            "assert l._bulk_seeding_ok is None and l._lane_steps is None\n"
             "next(l.trial_generators(np.zeros(1, np.uint64)))\n"
             "assert l._bulk_seeding_ok is True\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def raw_words(seeds, k):
+    return np.stack([np.random.PCG64(s).random_raw(k) for s in seeds.tolist()]).reshape(-1, k)
+
+
+LANE_SIDES = [1, 2, learners._LANE_WORDS - 1, learners._LANE_WORDS, learners._LANE_WORDS + 1, 300]
+
+
+class TestTrialWords:
+    """trial_words must equal PCG64(trial_seed(m, t)).random_raw(k), as
+    lanes and as one generator per trial."""
+
+    @pytest.mark.parametrize("k", LANE_SIDES)
+    def test_check_seeds_equal_random_raw(self, k):
+        """Each check seed is trial 0 of the master seed ^ splitmix64(0)."""
+        assert learners._bulk_seeding_matches()
+        for seed in learners._SEEDING_CHECK:
+            got = trial_words(seed ^ splitmix64(0), 0, 1, k)
+            assert np.array_equal(got, np.random.PCG64(seed).random_raw(k)[None])
+
+    @pytest.mark.parametrize("k", LANE_SIDES)
+    def test_counts_that_do_not_divide_into_lane_blocks(self, k):
+        """300 trials are no whole number of lane blocks for k > 27."""
+        seeds = trial_seeds(2**64 - 1, 7, 300)
+        assert np.array_equal(trial_words(2**64 - 1, 7, 300, k), raw_words(seeds, k))
+        assert trial_words(3, 0, 0, k).shape == (0, k)
+
+    @pytest.mark.parametrize("k", [26, 300])
+    def test_rows_read_in_chunks(self, k):
+        """Reading 7 rows at a time gives the words of reading them at once."""
+        read = trial_rows(11, 50, 40, k)
+        chunks = np.concatenate([read(r, min(7, 40 - r)) for r in range(0, 40, 7)])
+        assert np.array_equal(chunks, trial_words(11, 50, 40, k))
+
+    def test_lane_mismatch_falls_back_to_numpy(self, monkeypatch):
+        """A wrong lane constant fails the once-per-process check, and the
+        words then come from one numpy generator per trial."""
+        a_hi, a_lo, c_hi, c_lo = learners._lane_constants()
+        wrong = c_lo.copy()
+        wrong[-1] ^= np.uint64(1)
+        monkeypatch.setattr(learners, "_lane_steps", (a_hi, a_lo, c_hi, wrong))
+        monkeypatch.setattr(learners, "_bulk_seeding_ok", None)
+        got = trial_words(5, 0, 20, learners._LANE_WORDS)
+        assert learners._bulk_seeding_ok is False
+        assert np.array_equal(got, raw_words(trial_seeds(5, 0, 20), learners._LANE_WORDS))
+        assert np.array_equal(trial_rows(5, 0, 20, 3)(4, 6), raw_words(trial_seeds(5, 4, 6), 3))
+
+    def test_words_decode_to_generator_draws(self):
+        """Generator.random of a stream is its words' uniforms, and
+        uniform(low, high) is low + (high - low) times the next one."""
+        words = np.random.PCG64(17).random_raw(2000)
+        rng = np.random.Generator(np.random.PCG64(17))
+        assert np.array_equal(_word_uniforms(words[:1000]), rng.random(1000))
+        for j, density in enumerate(np.linspace(0.0, 1.0, 1000).tolist()):
+            low, high = max(0.05, density - 0.2), min(0.95, density + 0.2)
+            assert low + (high - low) * _word_uniforms(words[1000 + j]) == rng.uniform(low, high)
 
 
 class TestDrawSample:
@@ -277,18 +337,31 @@ def one_shot_cell_counts(cum, u):
     return np.bincount(flat.ravel(), minlength=trials * n_cells).reshape(trials, n_cells)
 
 
+def words_of(u):
+    """Raw PCG64 words whose uniforms (w >> 11) * 2**-53 are u, which must be
+    multiples of 2**-53 in [0, 1), with random low 11 bits, which the
+    uniforms ignore."""
+    high = (np.asarray(u) * 2.0**53).astype(np.uint64)
+    assert np.array_equal(high * 2.0**-53, u)
+    low = np.random.default_rng(high.size).integers(0, 1 << 11, high.shape, dtype=np.uint64)
+    return (high << np.uint64(11)) | low
+
+
+def on_word_grid(u):
+    """u rounded down to the uniforms raw words carry: multiples of 2**-53
+    below 1."""
+    return np.minimum(np.floor(u * 2.0**53), 2.0**53 - 1) * 2.0**-53
+
+
 def fill_from(u, calls):
-    """A cell_counts fill that hands out the rows of u in order and records
-    each block's row count."""
-    pos = 0
+    """cell_counts words that hand out the rows of u in order as raw words
+    and record each block's row count."""
 
-    def fill(out):
-        nonlocal pos
-        calls.append(len(out))
-        out[...] = u[pos : pos + len(out)]
-        pos += len(out)
+    def words(r, rows):
+        calls.append(rows)
+        return words_of(u[r : r + rows])
 
-    return fill
+    return words
 
 
 class TestCellCounts:
@@ -301,7 +374,7 @@ class TestCellCounts:
         trials = u.size // n
         if trials == 0:
             return
-        u = u[: trials * n].reshape(trials, n)
+        u = on_word_grid(u[: trials * n].reshape(trials, n))
         calls = []
         got = cell_counts(cum, trials, n, fill_from(u, calls))
         assert got.dtype == np.int64 and np.array_equal(got, one_shot_cell_counts(cum, u))
@@ -315,6 +388,7 @@ class TestCellCounts:
         cum = np.cumsum([0.0, 0.25, 0.0, 0.125, 0.625, 0.0, 0.0])
         u = np.random.default_rng(n).random((trials, n))
         u[0, :5] = [cum[1], cum[3], np.nextafter(cum[4], 0.0), cum[4], np.nextafter(1.0, 0.0)]
+        u = on_word_grid(u)
         calls = []
         got = cell_counts(cum, trials, n, fill_from(u, calls))
         assert np.array_equal(got, one_shot_cell_counts(cum, u))
@@ -322,11 +396,12 @@ class TestCellCounts:
         assert not got[:, [0, 2, 5, 6]].any()
 
     def test_generator_fill_reads_one_stream(self):
-        """A Generator's random fills the blocks in stream order, as one
-        trials x n draw does."""
+        """A PCG64's random_raw fills the blocks in stream order, as one
+        trials x n Generator.random draw does."""
         cum = np.cumsum(np.full(16, 1 / 16))
         trials, n = 500, 1600
-        got = cell_counts(cum, trials, n, np.random.Generator(np.random.PCG64(8)).random)
+        bitgen = np.random.PCG64(8)
+        got = cell_counts(cum, trials, n, lambda r, rows: bitgen.random_raw((rows, n)))
         u = np.random.Generator(np.random.PCG64(8)).random((trials, n))
         assert np.array_equal(got, one_shot_cell_counts(cum, u))
 

@@ -3,6 +3,7 @@
 import math
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,7 +26,7 @@ from strategia import (
     trial_seed,
     vc_dimension,
 )
-from strategia import oracles
+from strategia import oracles, vcdim
 
 
 @st.composite
@@ -176,6 +177,19 @@ class TestVcDimension:
         assert rep.dimension == want
         assert rep.capped == (want >= 0 and want == cap)
         assert rep.witness == (smallest_shattered(sys, want) if want > 0 else ())
+
+    @given(systems_with_repeats(), st.integers(0, 8))
+    def test_direct_and_levelwise_searches_agree(self, sys, top):
+        """Tiny systems skip the levels; both searches give the oracle's
+        dimension and the smallest witness on the same systems."""
+        if not sys.sets:
+            return
+        columns = np.ascontiguousarray(sys.membership.T)
+        top = min(top, len(sys.ground), len(sys.sets).bit_length() - 1)
+        d = oracles.oracle_vc(sys, max_size=top)
+        want = (d, smallest_shattered(sys, d) if d > 0 else ())
+        assert vcdim._levelwise_search(columns, top) == want
+        assert vcdim._direct_search(columns, top) == want
 
     def test_ground_beyond_64_elements(self):
         # element 1 is in every set, so a mask that wrapped 65 -> 1 or
