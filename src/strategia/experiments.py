@@ -46,19 +46,12 @@ from .graphdist import (
     surrogate_bounds,
 )
 from .learners import (
-    _COUNT_BLOCK,
     _singleton_hypothesis,
-    _word_uniforms,
-    cell_counts,
     draw_sample,
     erm,
     ic_erm,
     singleton_decisions,
     singleton_learner,
-    trial_generators,
-    trial_seed,
-    trial_rows,
-    trial_seeds,
 )
 from .losses import (
     LossKind,
@@ -71,9 +64,10 @@ from .losses import (
     social_burden,  # not called here; perfbench's tracer self-test reads this binding
 )
 from .results import ResultTable
+from .rng import cell_counts, trial_rows, trial_seed
 from .scenarios import (
     Scenario,
-    _random_arrays,
+    _thm5_arrays,
     gen_example1,
     gen_example2,
     gen_obs1,
@@ -127,7 +121,7 @@ def _run_seeded(kernel: Callable, shared, items: Sequence, workers: int) -> list
 # of n values each and at most _BLOCK_DRAWS values (the largest thm4 item at
 # the benchmark's 500 trials): n uniforms per sample, or n instance-array
 # entries per thm5 draw. Uniforms are never held for a whole block:
-# learners.cell_counts streams them through its own small block, so the
+# rng.cell_counts streams them through its own small block, so the
 # bound sizes the work of one item; a thm5 block does hold its instances.
 _BLOCK_DRAWS = 500 * 1600
 _BLOCK_TRIALS = 256
@@ -594,85 +588,16 @@ def _exp_thm4(spec, params, seed, workers) -> ExperimentResult:
 # thm5: the loss-transfer chain on random instances
 
 
-def _thm5_arrays(shared, first: int, count: int) -> tuple[np.ndarray, ...]:
-    """Labels, adjacency, candidate adjacency and weights of draws first ..
-    first + count - 1, each stacked over the draws: what _random_arrays(...,
-    n_graphs=1) draws from trial _THM5_BASE + k's generator.
-
-    A draw is decoded from its generator's raw words (learners.trial_words)
-    in _random_arrays' order: n * n adjacency uniforms, the m * n labels
-    (_coin_flips; with m * n odd the last high half is never read, as random
-    draws whole words), 2 * n weight uniforms, one uniform for the
-    candidate's density and n * n candidate uniforms. The weights are divided
-    by their sum, and the density is uniform's low + (high - low) * u. That
-    holds when the first m labelings are distinct; a draw whose labelings
-    repeat, or whose words exceed _COUNT_BLOCK, is drawn by _random_arrays
-    itself.
-    """
-    n, m, density, master = shared
-    nn, half = n * n, (m * n + 1) // 2
-    width = 2 * nn + half + 2 * n + 1
-    labels = np.empty((count, m, n), dtype=bool)
-    adj = np.empty((count, n, n), dtype=bool)
-    cand = np.empty((count, n, n), dtype=bool)
-    weights = np.empty((count, n, 2))
-    if width > _COUNT_BLOCK:
-        redraw = np.ones(count, dtype=bool)
-    else:
-        low, high = max(0.05, density - 0.2), min(0.95, density + 0.2)
-        step = _COUNT_BLOCK // width
-        read = trial_rows(master, _THM5_BASE + first, count, width)
-        for r in range(0, count, step):
-            words = read(r, min(step, count - r))
-            rows = slice(r, r + len(words))
-            adj[rows] = (_word_uniforms(words[:, :nn]) < density).reshape(-1, n, n)
-            labels[rows] = _coin_flips(words[:, nn : nn + half], m * n).reshape(-1, m, n)
-            w = _word_uniforms(words[:, nn + half : nn + half + 2 * n])
-            weights[rows] = (w / w.sum(axis=1, keepdims=True)).reshape(-1, n, 2)
-            d = low + (high - low) * _word_uniforms(words[:, -nn - 1])
-            cand[rows] = (_word_uniforms(words[:, -nn:]) < d[:, None]).reshape(-1, n, n)
-        for a in (adj, cand):
-            a.reshape(count, nn)[:, :: n + 1] = False  # no self-loops
-        redraw = _repeats_a_row(labels)
-    drawn = np.flatnonzero(redraw)
-    seeds = trial_seeds(master, _THM5_BASE + first, count)[drawn]
-    for j, rng in zip(drawn.tolist(), trial_generators(seeds)):
-        a = _random_arrays(rng, n, m, density, n_graphs=1)
-        labels[j], adj[j], cand[j], weights[j] = a.labels, a.adj, a.candidates[0], a.weights
-    return labels, adj, cand, weights
-
-
-def _coin_flips(words: np.ndarray, count: int) -> np.ndarray:
-    """The first count values of Generator.integers(0, 2) drawn from each row
-    of raw words, as booleans. Each value takes one 32-bit half, the low half
-    first, and Lemire's method maps a half h to h >> 31: value 2i is bit 31
-    of word i and value 2i + 1 its bit 63."""
-    bits = words[:, :, None] >> np.array([31, 63], dtype=np.uint64)
-    return (bits & np.uint64(1)).astype(bool).reshape(len(words), -1)[:, :count]
-
-
-def _repeats_a_row(rows: np.ndarray) -> np.ndarray:
-    """Which of the stacked boolean matrices hold a row twice."""
-    count, m, n = rows.shape
-    packed = np.packbits(rows, axis=2)
-    if n > 64:
-        return np.array([len({r.tobytes() for r in matrix}) < m for matrix in packed])
-    keys = np.zeros((count, m, 8), dtype=np.uint8)
-    keys[:, :, : packed.shape[2]] = packed
-    keys = np.sort(keys.view(np.uint64)[:, :, 0], axis=1)
-    return (keys[:, 1:] == keys[:, :-1]).any(axis=1)
-
-
 def _thm5_block(shared, item) -> list[tuple]:
     """Table rows of one block of draws. Draw k is the surrogate chain of
     member k % n_hypotheses on the random instance that
     gen_random(seed=trial_seed(master, _THM5_BASE + k), n_graphs=1) builds
-    (see _thm5_arrays)."""
+    (see scenarios._thm5_arrays)."""
     n_hypotheses = shared[1]
     first, count = item
     ks = range(first, first + count)
     members = [k % n_hypotheses for k in ks]
-    labels, adj, cand, weights = _thm5_arrays(shared, first, count)
+    labels, adj, cand, weights = _thm5_arrays(shared, _THM5_BASE + first, count)
     reports = _surrogate_chain(labels, adj, cand, weights, members)
     return [
         (k, h_i, rep.true_strategic, rep.binary, rep.surrogate_component,

@@ -44,7 +44,8 @@ from .losses import (
     class_component_matrix,
     observed_component_matrix,
 )
-from .learners import _argmin_with_ties, inverse_cdf
+from .learners import _argmin_with_ties
+from .rng import draw_cells
 
 BOUND_TOL = 1e-12
 
@@ -108,8 +109,7 @@ def draw_graph_sample(
     total = float(m.sum())
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"marginal sums to {total!r}, expected 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    xs = inverse_cdf(np.cumsum(m), rng.random(n))
+    xs = draw_cells(np.cumsum(m), n, seed)
     nsets = graph.neighbor_sets()
     return GraphSample(xs, [nsets[int(x)] for x in xs], n_points=graph.size)
 

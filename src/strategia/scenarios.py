@@ -3,7 +3,9 @@
 Each generator returns a Scenario bundling a domain, a deployed (true)
 graph, a hypothesis class, a labeled distribution, and optionally an
 alternative graph and a candidate graph class. Generators are deterministic:
-the same arguments and seed reproduce the same scenario bit for bit.
+the same arguments and seed reproduce the same scenario bit for bit. thm5
+decodes many of gen_random's draws at once from raw words (_thm5_arrays;
+see strategia.rng).
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .domain import (
 )
 from .errors import InvalidDistributionError
 from .graphdist import GraphClass
+from .rng import _COUNT_BLOCK, _coin_flips, _uniform_between, _word_uniforms, trial_rows, trial_seeds
 
 
 @dataclass(frozen=True)
@@ -394,6 +397,98 @@ def _random_arrays(
             seen.add(key)
             candidates.append(a)
     return _RandomArrays(coords, adj, labels, weights, candidates)
+
+
+def _decoded_width(n: int, m: int) -> int:
+    """The raw words _random_arrays(rng, n, m, density, n_graphs=1) reads
+    when its first m labelings are distinct: n * n adjacency uniforms, the
+    m * n labels, two to a word (with m * n odd the last high half is never
+    read, as random draws whole words), 2 * n weight uniforms, one uniform
+    for the candidate's density and n * n candidate uniforms."""
+    return 2 * n * n + (m * n + 1) // 2 + 2 * n + 1
+
+
+def _decoded_arrays(words: np.ndarray, n: int, m: int, density: float) -> tuple[np.ndarray, ...]:
+    """Labels, adjacency, candidate adjacency and weights that
+    _random_arrays(..., n_graphs=1) draws from a generator whose raw words
+    are a row of ``words`` (draws x _decoded_width(n, m)), stacked over the
+    rows; valid for a row whose first m labelings are distinct."""
+    nn, half = n * n, (m * n + 1) // 2
+    adj = (_word_uniforms(words[:, :nn]) < density).reshape(-1, n, n)
+    labels = _coin_flips(words[:, nn : nn + half], m * n).reshape(-1, m, n)
+    w = _word_uniforms(words[:, nn + half : nn + half + 2 * n])
+    weights = (w / w.sum(axis=1, keepdims=True)).reshape(-1, n, 2)
+    d = _uniform_between(words[:, -nn - 1], max(0.05, density - 0.2), min(0.95, density + 0.2))
+    cand = (_word_uniforms(words[:, -nn:]) < d[:, None]).reshape(-1, n, n)
+    for a in (adj, cand):
+        a.reshape(-1, nn)[:, :: n + 1] = False  # no self-loops
+    return labels, adj, cand, weights
+
+
+# The draw the decoder check decodes: (seed, n, m, density). Its 3 labelings
+# of 5 points are distinct, and m * n is odd, so a half word is skipped.
+_DECODING_CHECK = (1, 5, 3, 0.5)
+_decoding_ok: Optional[bool] = None
+
+
+def _decoding_matches() -> bool:
+    """Whether _decoded_arrays gives every array _random_arrays draws on
+    numpy's Generator, for the draw of _DECODING_CHECK; checked once per
+    process, at first use."""
+    global _decoding_ok
+    if _decoding_ok is None:
+        seed, n, m, density = _DECODING_CHECK
+        a = _random_arrays(np.random.Generator(np.random.PCG64(seed)), n, m, density, n_graphs=1)
+        words = np.random.PCG64(seed).random_raw(_decoded_width(n, m))[None]
+        got = _decoded_arrays(words, n, m, density)
+        _decoding_ok = all(
+            g.dtype == w.dtype and np.array_equal(g[0], w)
+            for g, w in zip(got, (a.labels, a.adj, a.candidates[0], a.weights))
+        )
+    return _decoding_ok
+
+
+def _thm5_arrays(shared, first: int, count: int) -> tuple[np.ndarray, ...]:
+    """Labels, adjacency, candidate adjacency and weights of trials first ..
+    first + count - 1 of a master seed, each stacked over the draws: what
+    _random_arrays(..., n_graphs=1) draws from trial t's
+    Generator(PCG64(trial_seed(master, t))), for shared = (n, m, density,
+    master).
+
+    Draws are decoded from their words (_decoded_arrays), read in chunks of
+    at most _COUNT_BLOCK words. A draw whose labelings repeat is drawn by
+    _random_arrays itself, and so is every draw when one draw's words exceed
+    _COUNT_BLOCK or the decoder check fails.
+    """
+    n, m, density, master = shared
+    width = _decoded_width(n, m)
+    labels = np.empty((count, m, n), dtype=bool)
+    adj = np.empty((count, n, n), dtype=bool)
+    cand = np.empty((count, n, n), dtype=bool)
+    weights = np.empty((count, n, 2))
+    if width > _COUNT_BLOCK or not _decoding_matches():
+        redraw = np.ones(count, dtype=bool)
+    else:
+        step = _COUNT_BLOCK // width
+        read = trial_rows(master, first, count, width)
+        for r in range(0, count, step):
+            words = read(r, min(step, count - r))
+            rows = slice(r, r + len(words))
+            labels[rows], adj[rows], cand[rows], weights[rows] = _decoded_arrays(words, n, m, density)
+        redraw = _repeats_a_row(labels)
+    drawn = np.flatnonzero(redraw)
+    for j, seed in zip(drawn.tolist(), trial_seeds(master, first, count)[drawn].tolist()):
+        a = _random_arrays(np.random.Generator(np.random.PCG64(seed)), n, m, density, n_graphs=1)
+        labels[j], adj[j], cand[j], weights[j] = a.labels, a.adj, a.candidates[0], a.weights
+    return labels, adj, cand, weights
+
+
+def _repeats_a_row(rows: np.ndarray) -> np.ndarray:
+    """Which of the stacked boolean matrices hold a row twice: each row,
+    packed into bytes, is one void key, and equal keys sort side by side."""
+    packed = np.packbits(rows, axis=2)
+    keys = np.sort(packed.view(np.dtype((np.void, packed.shape[2])))[..., 0], axis=1)
+    return (keys[:, 1:] == keys[:, :-1]).any(axis=1)
 
 
 def gen_random(

@@ -18,7 +18,8 @@ import pytest
 from strategia.cli import main
 from strategia.domain import HypothesisClass
 from strategia.graphdist import hpx_distance, empirical_sample_distance
-from strategia.learners import draw_sample, ic_erm, trial_seed
+from strategia.learners import draw_sample, ic_erm
+from strategia.rng import trial_seed
 from strategia.losses import (
     LossKind,
     class_component_matrix,

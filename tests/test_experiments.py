@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strategia import cli, experiments, graphdist, oracles
+from strategia import cli, graphdist, oracles, scenarios
 from strategia.config import build_scenario
 from strategia.domain import Hypothesis, LabeledDistribution
 from strategia.errors import BoundViolationError, ConfigError, RealizabilityError
@@ -27,9 +27,10 @@ from strategia.experiments import (
     vc_table,
 )
 from strategia.graphdist import hpx_distance, surrogate_bounds
-from strategia.learners import draw_sample, inverse_cdf, singleton_learner, trial_seed, trial_seeds
+from strategia.learners import draw_sample, singleton_learner
 from strategia.losses import LossKind, class_component_matrix, expected_loss
 from strategia.results import ResultTable, format_value
+from strategia.rng import _coin_flips, inverse_cdf, trial_seed, trial_seeds
 from strategia.scenarios import (
     _random_arrays,
     gen_component_case,
@@ -327,6 +328,10 @@ GOLDEN_CSV_SHA256 = {
         dict(params={"draws": 12, "n_points": 6, "n_hypotheses": 4}, seed=11),
         "bdb7adc07a2e0c2a65f93edb10243aee30cc8ef3a416b3fbbb96c34933bbc8ed",
     ),
+    "thm5/600-draws": (
+        dict(params={"draws": 600}, seed=7),
+        "36b014160583fc883cdc0083a9ec6dfe5b86022893dc735e5b508eb301e7ab88",
+    ),
     # 3 points and 5 of the 8 labelings: most draws repeat a labeling and
     # m * n is odd, so the draws take the fallback drawer.
     "thm5/repeated-labels": (
@@ -562,9 +567,9 @@ class TestThm5Decoding:
             redrawn.append(args)
             return _random_arrays(rng, *args, **kwargs)
 
-        monkeypatch.setattr(experiments, "_random_arrays", spy)
+        monkeypatch.setattr(scenarios, "_random_arrays", spy)
         shared = (n_points, n_hypotheses, density, master)
-        labels, adj, cand, weights = experiments._thm5_arrays(shared, first, count)
+        labels, adj, cand, weights = scenarios._thm5_arrays(shared, _THM5_BASE + first, count)
         want = self._drawn(master, first, count, n_points, n_hypotheses, density)
         for got, name in ((labels, "labels"), (adj, "adj"), (weights, "weights")):
             assert got.dtype == getattr(want[0], name).dtype
@@ -591,16 +596,65 @@ class TestThm5Decoding:
     def test_chunks_and_draws_longer_than_a_block(self, monkeypatch, block, redrawn):
         """A draw of 8 x 1 takes 149 words: chunks of 2 draws, which do not
         divide 7, and none that fit, where every draw is redrawn."""
-        monkeypatch.setattr(experiments, "_COUNT_BLOCK", block)
+        monkeypatch.setattr(scenarios, "_COUNT_BLOCK", block)
         assert self._check(monkeypatch, 47, 3, 7, 8, 1) == redrawn
 
     @pytest.mark.parametrize("count", [1, 2, 15, 48, 49])
     def test_coin_flips_equal_integers(self, count):
         words = np.random.PCG64(count).random_raw((count + 1) // 2)
         want = np.random.Generator(np.random.PCG64(count)).integers(0, 2, count)
-        assert np.array_equal(experiments._coin_flips(words[None], count)[0], want.astype(bool))
+        assert np.array_equal(_coin_flips(words[None], count)[0], want.astype(bool))
         shaped = np.random.Generator(np.random.PCG64(count)).integers(0, 2, (1, count))
         assert np.array_equal(shaped.ravel(), want)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 63, 64, 65, 127, 130])
+    def test_repeats_a_row_at_every_width(self, n):
+        """Equal to comparing each matrix's row bytes in a set; every third
+        matrix is given a repeated row."""
+        rows = np.random.default_rng(n).random((40, 5, n)) < 0.5
+        rows[::3, 4] = rows[::3, 1]
+        want = [len({r.tobytes() for r in matrix}) < 5 for matrix in rows]
+        assert scenarios._repeats_a_row(rows).tolist() == want
+
+
+def _flip_one_coin(coin_flips):
+    def flipped(words, count):
+        out = coin_flips(words, count)
+        out[:, 0] ^= True
+        return out
+
+    return flipped
+
+
+def _flip_one_uniform_bit(word_uniforms):
+    return lambda words: (word_uniforms(words).view(np.uint64) ^ np.uint64(1)).view(np.float64)
+
+
+class TestDecodingFallback:
+    """A thm5 decoder that no longer matches numpy's Generator fails the
+    decoder check, and every draw is then drawn by _random_arrays: the CSV
+    bytes stay those of numpy's Generator."""
+
+    @pytest.mark.parametrize("name, flip", [
+        ("_coin_flips", _flip_one_coin), ("_word_uniforms", _flip_one_uniform_bit),
+    ])
+    def test_drifted_decoder_falls_back_to_random_arrays(self, monkeypatch, name, flip):
+        monkeypatch.setattr(scenarios, name, flip(getattr(scenarios, name)))
+        monkeypatch.setattr(scenarios, "_decoding_ok", None)
+        assert scenarios._decoding_matches() is False
+        calls = []
+
+        def spy(rng, *args, **kwargs):
+            calls.append(args)
+            return _random_arrays(rng, *args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "_random_arrays", spy)
+        for golden in ("thm5/600-draws", "thm5/repeated-labels"):
+            kw, digest = GOLDEN_CSV_SHA256[golden]
+            calls.clear()
+            csv = run_experiment("thm5", **kw).table.to_csv_text()
+            assert len(calls) == kw["params"]["draws"]
+            assert hashlib.sha256(csv.encode()).hexdigest() == digest, golden
 
 
 class TestBenchmarkScaleDigests:

@@ -32,21 +32,24 @@ from strategia import (
     splitmix64,
     trial_seed,
 )
-from strategia import learners
-from strategia.learners import (
+from strategia import rng as stream
+from strategia.graphdist import draw_graph_sample
+from strategia.learners import singleton_decisions
+from strategia.rng import (
     _COUNT_BLOCK,
     _GUIDE_BUCKETS,
     _guide_table,
+    _pcg64_state,
+    _pcg64_states,
+    _uniform_between,
+    _word_cells,
     _word_uniforms,
     cell_counts,
+    draw_cells,
     inverse_cdf,
-    singleton_decisions,
-    trial_generators,
     trial_rows,
     trial_seeds,
-    trial_words,
 )
-from strategia.scenarios import _random_arrays
 from strategia.losses import effective_hypothesis
 from strategia import oracles
 
@@ -101,8 +104,8 @@ EDGE_SEEDS = np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
 
 
 class TestBulkTrialGenerators:
-    """trial_generators sets every trial up in bulk and must equal
-    Generator(PCG64(trial_seed(m, t))) value for value."""
+    """The bulk set-up of trial_rows must give numpy's PCG64(trial_seed(m,
+    t)) state and stream for every trial."""
 
     @given(st.integers(-(2**70), 2**70), st.integers(0, 2**40), st.integers(0, 40))
     def test_trial_seeds_equal_trial_seed(self, master, first, count):
@@ -111,54 +114,46 @@ class TestBulkTrialGenerators:
         assert seeds.tolist() == [trial_seed(master, first + j) for j in range(count)]
 
     def test_states_equal_numpy_on_ten_thousand_seeds(self):
-        assert learners._bulk_seeding_matches()  # not the fallback
+        assert stream._bulk_seeding_matches()  # not the fallback
         seeds = np.concatenate([EDGE_SEEDS, trial_seeds(12345, 0, 10_000)])
-        got = [rng.bit_generator.state for rng in trial_generators(seeds)]
+        got = [
+            _pcg64_state(hi << 64 | lo, inc_hi << 64 | inc_lo)
+            for hi, lo, inc_hi, inc_lo in zip(*(x.tolist() for x in _pcg64_states(seeds)))
+        ]
         assert got == [np.random.PCG64(s).state for s in seeds.tolist()]
 
     @pytest.mark.parametrize("n", [1, 26, 64, 65, 3200])
     def test_rows_equal_numpy(self, n):
+        """The uniforms of the words trial_rows reads, as lanes and as long
+        rows, are Generator.random's."""
         seeds = np.concatenate([EDGE_SEEDS, trial_seeds(2**64 - 1, 7, 200)])
-        got = np.stack([rng.random(n) for rng in trial_generators(seeds)])
+        got = np.concatenate(
+            [read_all(s ^ splitmix64(0), 0, 1, n) for s in EDGE_SEEDS.tolist()]
+            + [read_all(2**64 - 1, 7, 200, n)]
+        )
         want = np.stack([rng.random(n) for rng in numpy_generators(seeds)])
-        assert np.array_equal(got, want)
-
-    def test_integers_after_random(self):
-        """Three 32-bit draws leave half a 64-bit output buffered; the next
-        trial must not start from it."""
-        def draws(rng):
-            return rng.random(2).tolist(), rng.integers(0, 2, 3).tolist()
-
-        seeds = np.concatenate([EDGE_SEEDS, trial_seeds(99, 0, 300)])
-        assert [draws(rng) for rng in trial_generators(seeds)] == [
-            draws(rng) for rng in numpy_generators(seeds)
-        ]
-
-    def test_random_arrays_draws_equal_numpy(self):
-        seeds = trial_seeds(31, 30_000_000, 40)
-
-        def arrays(rng):
-            a = _random_arrays(rng, 8, 6, 0.35, n_graphs=1)
-            return a.adj.tobytes(), a.labels.tobytes(), a.weights.tobytes(), a.candidates[0].tobytes()
-
-        assert [arrays(rng) for rng in trial_generators(seeds)] == [
-            arrays(rng) for rng in numpy_generators(seeds)
-        ]
+        assert np.array_equal(_word_uniforms(got), want)
 
     def test_mismatch_falls_back_to_numpy(self, monkeypatch):
-        monkeypatch.setattr(learners, "_PCG_MULT", learners._PCG_MULT + 2)
-        monkeypatch.setattr(learners, "_bulk_seeding_ok", None)
-        seeds = trial_seeds(5, 0, 20)
-        got = [rng.random(3).tolist() for rng in trial_generators(seeds)]
-        assert learners._bulk_seeding_ok is False
-        assert got == [rng.random(3).tolist() for rng in numpy_generators(seeds)]
+        """A wrong multiplier fails the once-per-process check, and the words
+        then come from one numpy PCG64 per trial."""
+        monkeypatch.setattr(stream, "_PCG_MULT", stream._PCG_MULT + 2)
+        monkeypatch.setattr(stream, "_bulk_seeding_ok", None)
+        got = read_all(5, 0, 20, 3)
+        assert stream._bulk_seeding_ok is False
+        assert np.array_equal(got, raw_words(trial_seeds(5, 0, 20), 3))
 
     def test_check_is_lazy(self):
+        """Importing the CLI runs neither check nor builds the lane
+        constants; each check runs at the first use of what it guards."""
         code = (
-            "import strategia, strategia.learners as l, numpy as np\n"
-            "assert l._bulk_seeding_ok is None and l._lane_steps is None\n"
-            "next(l.trial_generators(np.zeros(1, np.uint64)))\n"
-            "assert l._bulk_seeding_ok is True\n"
+            "import strategia.cli, strategia.rng as r, strategia.scenarios as s\n"
+            "assert r._bulk_seeding_ok is None and r._lane_steps is None\n"
+            "assert s._decoding_ok is None\n"
+            "r.trial_rows(0, 0, 1, 1)\n"
+            "assert r._bulk_seeding_ok is True and s._decoding_ok is None\n"
+            "s._thm5_arrays((3, 2, 0.5, 0), 0, 1)\n"
+            "assert s._decoding_ok is True\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
@@ -167,57 +162,62 @@ def raw_words(seeds, k):
     return np.stack([np.random.PCG64(s).random_raw(k) for s in seeds.tolist()]).reshape(-1, k)
 
 
-LANE_SIDES = [1, 2, learners._LANE_WORDS - 1, learners._LANE_WORDS, learners._LANE_WORDS + 1, 300]
+def read_all(master, first, count, k):
+    """Every row trial_rows(master, first, count, k) reads, read at once."""
+    return trial_rows(master, first, count, k)(0, count)
+
+
+LANE_SIDES = [1, 2, stream._LANE_WORDS - 1, stream._LANE_WORDS, stream._LANE_WORDS + 1, 300]
 
 
 class TestTrialWords:
-    """trial_words must equal PCG64(trial_seed(m, t)).random_raw(k), as
-    lanes and as one generator per trial."""
+    """trial_rows must read PCG64(trial_seed(m, t)).random_raw(k), as lanes
+    and as one generator per trial."""
 
     @pytest.mark.parametrize("k", LANE_SIDES)
     def test_check_seeds_equal_random_raw(self, k):
         """Each check seed is trial 0 of the master seed ^ splitmix64(0)."""
-        assert learners._bulk_seeding_matches()
-        for seed in learners._SEEDING_CHECK:
-            got = trial_words(seed ^ splitmix64(0), 0, 1, k)
+        assert stream._bulk_seeding_matches()
+        for seed in stream._SEEDING_CHECK:
+            got = read_all(seed ^ splitmix64(0), 0, 1, k)
             assert np.array_equal(got, np.random.PCG64(seed).random_raw(k)[None])
 
     @pytest.mark.parametrize("k", LANE_SIDES)
     def test_counts_that_do_not_divide_into_lane_blocks(self, k):
         """300 trials are no whole number of lane blocks for k > 27."""
         seeds = trial_seeds(2**64 - 1, 7, 300)
-        assert np.array_equal(trial_words(2**64 - 1, 7, 300, k), raw_words(seeds, k))
-        assert trial_words(3, 0, 0, k).shape == (0, k)
+        assert np.array_equal(read_all(2**64 - 1, 7, 300, k), raw_words(seeds, k))
+        assert read_all(3, 0, 0, k).shape == (0, k)
 
     @pytest.mark.parametrize("k", [26, 300])
     def test_rows_read_in_chunks(self, k):
         """Reading 7 rows at a time gives the words of reading them at once."""
         read = trial_rows(11, 50, 40, k)
         chunks = np.concatenate([read(r, min(7, 40 - r)) for r in range(0, 40, 7)])
-        assert np.array_equal(chunks, trial_words(11, 50, 40, k))
+        assert np.array_equal(chunks, read_all(11, 50, 40, k))
 
     def test_lane_mismatch_falls_back_to_numpy(self, monkeypatch):
         """A wrong lane constant fails the once-per-process check, and the
         words then come from one numpy generator per trial."""
-        a_hi, a_lo, c_hi, c_lo = learners._lane_constants()
+        a_hi, a_lo, c_hi, c_lo = stream._lane_constants()
         wrong = c_lo.copy()
         wrong[-1] ^= np.uint64(1)
-        monkeypatch.setattr(learners, "_lane_steps", (a_hi, a_lo, c_hi, wrong))
-        monkeypatch.setattr(learners, "_bulk_seeding_ok", None)
-        got = trial_words(5, 0, 20, learners._LANE_WORDS)
-        assert learners._bulk_seeding_ok is False
-        assert np.array_equal(got, raw_words(trial_seeds(5, 0, 20), learners._LANE_WORDS))
+        monkeypatch.setattr(stream, "_lane_steps", (a_hi, a_lo, c_hi, wrong))
+        monkeypatch.setattr(stream, "_bulk_seeding_ok", None)
+        got = read_all(5, 0, 20, stream._LANE_WORDS)
+        assert stream._bulk_seeding_ok is False
+        assert np.array_equal(got, raw_words(trial_seeds(5, 0, 20), stream._LANE_WORDS))
         assert np.array_equal(trial_rows(5, 0, 20, 3)(4, 6), raw_words(trial_seeds(5, 4, 6), 3))
 
     def test_words_decode_to_generator_draws(self):
         """Generator.random of a stream is its words' uniforms, and
-        uniform(low, high) is low + (high - low) times the next one."""
+        uniform(low, high) is _uniform_between of the next word."""
         words = np.random.PCG64(17).random_raw(2000)
         rng = np.random.Generator(np.random.PCG64(17))
         assert np.array_equal(_word_uniforms(words[:1000]), rng.random(1000))
         for j, density in enumerate(np.linspace(0.0, 1.0, 1000).tolist()):
             low, high = max(0.05, density - 0.2), min(0.95, density + 0.2)
-            assert low + (high - low) * _word_uniforms(words[1000 + j]) == rng.uniform(low, high)
+            assert _uniform_between(words[1000 + j], low, high) == rng.uniform(low, high)
 
 
 class TestDrawSample:
@@ -249,6 +249,23 @@ class TestDrawSample:
         P = LabeledDistribution([[1.0, 0.0]])
         with pytest.raises(ValueError):
             draw_sample(P, -1, seed=0)
+
+    @pytest.mark.parametrize("n", [0, 1, 100, _GUIDE_BUCKETS - 1, _GUIDE_BUCKETS, 20_000])
+    def test_draws_equal_inverse_cdf_of_generator_random(self, n):
+        """draw_sample and draw_graph_sample give the cells of
+        inverse_cdf(cum, Generator(PCG64(seed)).random(n)), below and above
+        the batch size at which the guide table is used."""
+        weights = np.random.default_rng(n).random((60, 2))
+        weights[::7] = 0.0
+        weights[-3:] = 0.0  # trailing zero-weight cells
+        P = LabeledDistribution(weights / weights.sum())
+        graph = ManipulationGraph(FiniteDomain(60), [(i, i + 1) for i in range(59)])
+        for seed in (0, 77, 2**64 - 1):
+            u = np.random.Generator(np.random.PCG64(seed)).random(n)
+            S = draw_sample(P, n, seed)
+            assert np.array_equal(2 * S.xs + S.ys, inverse_cdf(np.cumsum(P.weights.ravel()), u))
+            G = draw_graph_sample(P.marginal(), graph, n, seed)
+            assert np.array_equal(G.xs, inverse_cdf(np.cumsum(P.marginal()), u))
 
 
 def searchsorted_reference(cum, u):
@@ -290,17 +307,23 @@ class TestInverseCdf:
         assert inverse_cdf(cum, u).tolist() == [1, 1, 3, 3, 3, 3]
 
     @settings(max_examples=60)
-    @given(cdf_cases())
-    def test_guide_table_path_equals_searchsorted(self, case):
-        """The guide-table path returns the binary search's cell for every
-        uniform and never a cell of zero weight."""
+    @given(cdf_cases(), st.integers(0, 3))
+    def test_guide_table_path_equals_searchsorted(self, case, side):
+        """The word guide path returns inverse_cdf's cell of the words'
+        uniforms for every word, and never a cell of zero weight: words on
+        every bucket edge and beside every cumulative weight. draw_cells
+        takes it from _GUIDE_BUCKETS draws on, and the plain search below."""
         w, cum, u = case
-        assert u.size >= _GUIDE_BUCKETS and u.min() >= 0 and u.max() < 1  # the table path
-        want = searchsorted_reference(cum, u)
-        got = inverse_cdf(cum, u)
+        words = words_of(on_word_grid(u))
+        want = inverse_cdf(cum, _word_uniforms(words))
+        assert np.array_equal(want, searchsorted_reference(cum, _word_uniforms(words)))
+        got = _word_cells(cum, words, _guide_table(cum))
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert (w[got] > 0).all()
-        assert np.array_equal(inverse_cdf(cum, u.reshape(1, -1)), want.reshape(1, -1))
+        assert np.array_equal(_word_cells(cum, words.reshape(1, -1), _guide_table(cum)), want.reshape(1, -1))
+        n, seed = _GUIDE_BUCKETS - 2 + side, int(u.size)
+        drawn = np.random.PCG64(seed).random_raw(n)
+        assert np.array_equal(draw_cells(cum, n, seed), inverse_cdf(cum, _word_uniforms(drawn)))
 
     @settings(max_examples=60)
     @given(cdf_cases())
@@ -309,7 +332,7 @@ class TestInverseCdf:
         exactly the buckets with a cumulative weight strictly inside are
         split: a weight on a bucket edge splits none."""
         _, cum, _ = case
-        table = _guide_table(cum, np.searchsorted(cum, cum[-1]))
+        table = _guide_table(cum)
         k = np.flatnonzero(table >= 0)
         lo = k / _GUIDE_BUCKETS
         hi = np.nextafter((k + 1) / _GUIDE_BUCKETS, 0.0)
