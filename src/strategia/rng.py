@@ -5,28 +5,21 @@ PCG64(trial_seed(m, t)), where trial_seed(m, t) = m XOR splitmix64(t). A
 seed's raw PCG64 stream, numpy's SeedSequence seeding included (NEP 19;
 O'Neill, "PCG", HMC-CS-2014-0905), is the same on every platform and numpy
 release; the algorithms of numpy's Generator may change between feature
-releases.
+releases, so no sample goes through one.
 
-Defined by raw words: every sample of thm3, thm4, uniform-conv, draw_sample
-and draw_graph_sample. A raw word w (random_raw) is the uniform
-(w >> 11) * 2**-53 (_word_uniforms, which is also Generator.random's), and
-a draw is the cell inverse_cdf(cum, u) of its uniform.
+Every sample is raw words plus a fixed decode: those of thm3, thm4,
+uniform-conv, draw_sample, draw_graph_sample and gen_random, whose drawer
+thm5 shares (scenarios._random_arrays). A raw word w is the uniform u =
+(w >> 11) * 2**-53 (_word_uniforms, as Generator.random); u < p is read off
+w itself (_below); uniform(low, high) is low + (high - low) * u
+(_uniform_between); integers(0, 2) takes bit 31 of one 32-bit half, the low
+half first (_coin_flips); and a draw is the cell inverse_cdf(cum, u).
+_WordReader serves words and coin flips in stream order.
 
-Following Generator: gen_random's instances (scenarios._random_arrays), and
-so thm5's, which scenarios._thm5_arrays decodes from words: _word_uniforms
-for random, _coin_flips for integers(0, 2) and _uniform_between for
-uniform(low, high). A draw whose labelings repeat is drawn by
-_random_arrays itself.
-
-Two checks run once per process, at first use, never at import:
-- _bulk_seeding_matches guards trial_rows. It compares the bulk-computed
-  PCG64 states and lane words of a few seeds with numpy's. On a mismatch
-  each trial is read from its own PCG64(seed).random_raw: the one stream
-  fallback.
-- scenarios._decoding_matches guards the thm5 decoder. It decodes one short
-  draw and compares every array with _random_arrays. On a mismatch every
-  draw is drawn by _random_arrays. A drift of _uniform_between shows only
-  where it moves a candidate edge of that draw.
+One check runs once per process, at first use, never at import:
+_bulk_seeding_matches compares the bulk-computed PCG64 states and lane words
+of a few seeds with numpy's. On a mismatch trial_rows reads each trial from
+its own PCG64(seed).random_raw: the one stream fallback.
 
 Bulk seeding: trial_seeds computes a range of seeds at once, and
 SeedSequence and the PCG64 seeding step are redone in uint32 / uint64 array
@@ -278,10 +271,65 @@ def _uniform_between(words: np.ndarray, low: float, high: float) -> np.ndarray:
 def _coin_flips(words: np.ndarray, count: int) -> np.ndarray:
     """The first count values of Generator.integers(0, 2) drawn from each row
     of raw words, as booleans. Each value takes one 32-bit half, the low half
-    first, and Lemire's method maps a half h to h >> 31: value 2i is bit 31
-    of word i and value 2i + 1 its bit 63."""
-    bits = words[:, :, None] >> np.array([31, 63], dtype=np.uint64)
-    return (bits & np.uint64(1)).astype(bool).reshape(len(words), -1)[:, :count]
+    first, and Lemire's method maps a half h to h >> 31. The little-endian
+    view puts the low half first on any host."""
+    return (words.astype("<u8", copy=False).view("<u4") >> 31).astype(bool)[:, :count]
+
+
+def _below(words: np.ndarray, p) -> np.ndarray:
+    """_word_uniforms(words) < p, compared on the words themselves: the
+    uniform (w >> 11) * 2**-53 is below p exactly when w is below ceil(p *
+    2**53) << 11. From p = 1 on that limit is 2**64, above every word; at p
+    <= 0 (or nan) no word is below it. p is a number or broadcasts against
+    the words, one per row."""
+    # t = ceil(p * 2**53) within [0, 2**53]; fmax takes a nan to 0
+    t = np.minimum(np.fmax(np.ceil(np.multiply(p, 2.0**53)), 0.0), 2.0**53)
+    below = words < (t.astype(np.uint64) << np.uint64(11))
+    full = t == 2.0**53  # whose limit 2**64 wrapped to 0
+    if full.any():
+        below |= full
+    return below
+
+
+class _WordReader:
+    """The raw words of one or more PCG64 streams, in stream order:
+    words(k) gives the next k words of each stream (streams x k) and
+    flips(k) its next k coin flips. As in numpy's bit-generator state, an
+    unread high half waits for the next flips, and words skip it. ``used``
+    counts the words read, and next_words(start, k) gives words start ..
+    start + k - 1 of every stream. A live reader reads one stream as far as
+    asked; a block reader holds rows already read."""
+
+    def __init__(self, next_words: Callable[[int, int], np.ndarray], streams: int, live: bool):
+        self._next, self.streams, self.live = next_words, streams, live
+        self.used = 0
+        self._half: Optional[np.ndarray] = None
+
+    def words(self, k: int) -> np.ndarray:
+        out = self._next(self.used, k)
+        self.used += k
+        return out
+
+    def flips(self, k: int) -> np.ndarray:
+        head = self._half if k else None
+        if head is not None:
+            self._half, k = None, k - 1
+        # every half read: k of them, or k + 1 when k is odd
+        halves = _coin_flips(self.words((k + 1) // 2), k + 1)
+        if k % 2:
+            halves, self._half = halves[:, :k], halves[:, k:]
+        return halves if head is None else np.concatenate((head, halves), axis=1)
+
+
+def _stream_words(seed: int) -> _WordReader:
+    """A live reader of PCG64(seed)'s stream."""
+    bitgen = np.random.PCG64(seed)
+    return _WordReader(lambda start, k: bitgen.random_raw(k)[None], 1, live=True)
+
+
+def _block_words(rows: np.ndarray) -> _WordReader:
+    """A block reader whose stream i is row i of rows."""
+    return _WordReader(lambda start, k: rows[:, start : start + k], len(rows), live=False)
 
 
 def inverse_cdf(cum: np.ndarray, u) -> np.ndarray:

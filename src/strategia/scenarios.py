@@ -3,9 +3,9 @@
 Each generator returns a Scenario bundling a domain, a deployed (true)
 graph, a hypothesis class, a labeled distribution, and optionally an
 alternative graph and a candidate graph class. Generators are deterministic:
-the same arguments and seed reproduce the same scenario bit for bit. thm5
-decodes many of gen_random's draws at once from raw words (_thm5_arrays;
-see strategia.rng).
+the same arguments and seed reproduce the same scenario bit for bit. The
+random ones read raw PCG64 words through one drawer, _random_arrays: one
+live stream for gen_random, blocks of many draws for thm5 (strategia.rng).
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ from .domain import (
 )
 from .errors import InvalidDistributionError
 from .graphdist import GraphClass
-from .rng import _COUNT_BLOCK, _coin_flips, _uniform_between, _word_uniforms, trial_rows, trial_seeds
+from .rng import (
+    _COUNT_BLOCK, _below, _block_words, _stream_words, _uniform_between, _word_uniforms,
+    _WordReader, trial_rows, trial_seeds,
+)
 
 
 @dataclass(frozen=True)
@@ -184,30 +187,32 @@ def _uniform_cell_dist(n: int) -> LabeledDistribution:
 
 
 def _distinct_random_labels(
-    rng: np.random.Generator, n: int, m: int, exclude_zero: bool = False
+    read: _WordReader, n: int, m: int, exclude_zero: bool = False
 ) -> np.ndarray:
-    """m distinct random labelings over n points, as an m x n boolean matrix.
+    """m distinct random labelings over n points per stream (streams x m x n).
 
-    The first m candidate rows come from one draw; each rejected one (a
-    repeat, or all zeros under exclude_zero) is replaced by one-row draws.
-    Every value takes one 32-bit output of the generator, so the stream is
-    the same as drawing row by row. After 1000 * m candidate rows it gives up.
+    The first m candidate rows come from one read of m * n coin flips. A live
+    reader replaces each rejected one (a repeat, or all zeros under
+    exclude_zero) by n more flips, the flips of reading row by row, and gives
+    up after 1000 * m candidate rows; a block reader keeps the first m rows.
     """
-    first = rng.integers(0, 2, (m, n)).astype(bool)
-    out = np.empty((m, n), dtype=bool)
+    first = read.flips(m * n).reshape(read.streams, m, n)
+    if not read.live:
+        return first
+    out = np.empty((1, m, n), dtype=bool)
     seen: set[bytes] = set()
     kept = attempts = 0
     while kept < m:
         if attempts == 1000 * m:
             raise ValueError(f"could not draw {m} distinct labelings over {n} points")
-        row = first[attempts] if attempts < m else rng.integers(0, 2, n).astype(bool)
+        row = first[0, attempts] if attempts < m else read.flips(n)[0]
         attempts += 1
         if exclude_zero and not row.any():
             continue
         key = row.tobytes()
         if key not in seen:
             seen.add(key)
-            out[kept] = row
+            out[0, kept] = row
             kept += 1
     return out
 
@@ -234,8 +239,7 @@ def gen_component_case(which: str, **params) -> Scenario:
         domain = FiniteDomain(n)
         edges = [(i, j) for i in range(n) for j in range(n) if i != j]
         graph = ManipulationGraph(domain, edges)
-        rng = np.random.Generator(np.random.PCG64(seed))
-        rows = _distinct_random_labels(rng, n, class_size, exclude_zero=True)
+        rows = _distinct_random_labels(_stream_words(seed), n, class_size, exclude_zero=True)[0]
         hclass = HypothesisClass([Hypothesis(r) for r in rows], domain)
         return Scenario(
             domain, graph, hclass, _uniform_cell_dist(n),
@@ -337,19 +341,22 @@ def _reject_extra(params: dict) -> None:
         raise ValueError(f"unknown parameters: {sorted(params)}")
 
 
-# How many uniforms _random_adjacency draws and compares at a time (whole
-# rows, at least one). They are drawn in the same order either way; the small
-# float buffer keeps the peak memory of a large instance near that of its
-# boolean matrices.
+# How many words _random_adjacency reads and compares at a time per stream
+# (whole rows, at least one). They are read in the same order either way;
+# the small word buffer keeps the peak memory of a large instance near that
+# of its boolean matrices.
 _ADJACENCY_CHUNK = 1 << 16
 
 
-def _random_adjacency(rng: np.random.Generator, n: int, density: float) -> np.ndarray:
-    adj = np.empty((n, n), dtype=bool)
+def _random_adjacency(read: _WordReader, n: int, density) -> np.ndarray:
+    """streams x n x n adjacency: (i, j) is an edge, i != j, when its word's
+    uniform is below density (a number, or one per stream)."""
+    adj = np.empty((read.streams, n, n), dtype=bool)
     rows = max(1, _ADJACENCY_CHUNK // n)
     for i in range(0, n, rows):
-        adj[i:i + rows] = rng.random((min(rows, n - i), n)) < density
-    adj.flat[:: n + 1] = False  # the diagonal: no self-loops
+        block = adj[:, i : i + rows]
+        block[...] = _below(read.words(block.shape[1] * n), density).reshape(block.shape)
+    adj.reshape(read.streams, n * n)[:, :: n + 1] = False  # the diagonal
     return adj
 
 
@@ -362,25 +369,30 @@ class _RandomArrays(NamedTuple):
 
 
 def _random_arrays(
-    rng: np.random.Generator,
+    read: _WordReader,
     n_points: int,
     n_hypotheses: int,
     density: float,
     n_graphs: int = 0,
     coord_dim: int = 0,
 ) -> _RandomArrays:
-    """Every array of a gen_random instance, drawn from rng in this order:
-    coordinates (None without coord_dim), the true adjacency, the distinct
-    labelings (n_hypotheses x n_points), the (n_points, 2) weights summing
-    to 1, and the distinct candidate adjacencies (their densities vary
-    around the true one)."""
+    """Every array of a gen_random instance, each stacked over the reader's
+    streams and read in this order: coordinates (None without coord_dim),
+    the true adjacency, the distinct labelings (n_hypotheses x n_points),
+    the (n_points, 2) weights summing to 1, and the distinct candidate
+    adjacencies (their densities vary around the true one). Only a live
+    reader rejects a repeated labeling or candidate and reads on; a block
+    reader draws as if nothing were rejected."""
     if n_hypotheses > (1 << n_points):
         raise ValueError("more hypotheses than dichotomies")
-    coords = rng.random((n_points, coord_dim)) if coord_dim > 0 else None
-    adj = _random_adjacency(rng, n_points, density)
-    labels = _distinct_random_labels(rng, n_points, n_hypotheses)
-    weights = rng.random((n_points, 2))
-    weights /= weights.sum()
+    streams, n = read.streams, n_points
+    coords = (_word_uniforms(read.words(n * coord_dim)).reshape(streams, n, coord_dim)
+              if coord_dim > 0 else None)
+    adj = _random_adjacency(read, n, density)
+    labels = _distinct_random_labels(read, n, n_hypotheses)
+    w = _word_uniforms(read.words(2 * n))
+    weights = (w / w.sum(axis=1, keepdims=True)).reshape(streams, n, 2)
+    low, high = max(0.05, density - 0.2), min(0.95, density + 0.2)
     candidates: list[np.ndarray] = []
     seen: set[bytes] = set()
     attempts = 0
@@ -390,97 +402,39 @@ def _random_arrays(
             raise ValueError(
                 f"could not draw {n_graphs} distinct candidate graphs in {1000 * n_graphs} tries"
             )
-        d = float(rng.uniform(max(0.05, density - 0.2), min(0.95, density + 0.2)))
-        a = _random_adjacency(rng, n_points, d)
+        a = _random_adjacency(read, n, _uniform_between(read.words(1), low, high))
         key = a.tobytes()
-        if key not in seen:
+        if not read.live or key not in seen:
             seen.add(key)
             candidates.append(a)
     return _RandomArrays(coords, adj, labels, weights, candidates)
 
 
-def _decoded_width(n: int, m: int) -> int:
-    """The raw words _random_arrays(rng, n, m, density, n_graphs=1) reads
-    when its first m labelings are distinct: n * n adjacency uniforms, the
-    m * n labels, two to a word (with m * n odd the last high half is never
-    read, as random draws whole words), 2 * n weight uniforms, one uniform
-    for the candidate's density and n * n candidate uniforms."""
-    return 2 * n * n + (m * n + 1) // 2 + 2 * n + 1
-
-
-def _decoded_arrays(words: np.ndarray, n: int, m: int, density: float) -> tuple[np.ndarray, ...]:
-    """Labels, adjacency, candidate adjacency and weights that
-    _random_arrays(..., n_graphs=1) draws from a generator whose raw words
-    are a row of ``words`` (draws x _decoded_width(n, m)), stacked over the
-    rows; valid for a row whose first m labelings are distinct."""
-    nn, half = n * n, (m * n + 1) // 2
-    adj = (_word_uniforms(words[:, :nn]) < density).reshape(-1, n, n)
-    labels = _coin_flips(words[:, nn : nn + half], m * n).reshape(-1, m, n)
-    w = _word_uniforms(words[:, nn + half : nn + half + 2 * n])
-    weights = (w / w.sum(axis=1, keepdims=True)).reshape(-1, n, 2)
-    d = _uniform_between(words[:, -nn - 1], max(0.05, density - 0.2), min(0.95, density + 0.2))
-    cand = (_word_uniforms(words[:, -nn:]) < d[:, None]).reshape(-1, n, n)
-    for a in (adj, cand):
-        a.reshape(-1, nn)[:, :: n + 1] = False  # no self-loops
-    return labels, adj, cand, weights
-
-
-# The draw the decoder check decodes: (seed, n, m, density). Its 3 labelings
-# of 5 points are distinct, and m * n is odd, so a half word is skipped.
-_DECODING_CHECK = (1, 5, 3, 0.5)
-_decoding_ok: Optional[bool] = None
-
-
-def _decoding_matches() -> bool:
-    """Whether _decoded_arrays gives every array _random_arrays draws on
-    numpy's Generator, for the draw of _DECODING_CHECK; checked once per
-    process, at first use."""
-    global _decoding_ok
-    if _decoding_ok is None:
-        seed, n, m, density = _DECODING_CHECK
-        a = _random_arrays(np.random.Generator(np.random.PCG64(seed)), n, m, density, n_graphs=1)
-        words = np.random.PCG64(seed).random_raw(_decoded_width(n, m))[None]
-        got = _decoded_arrays(words, n, m, density)
-        _decoding_ok = all(
-            g.dtype == w.dtype and np.array_equal(g[0], w)
-            for g, w in zip(got, (a.labels, a.adj, a.candidates[0], a.weights))
-        )
-    return _decoding_ok
-
-
 def _thm5_arrays(shared, first: int, count: int) -> tuple[np.ndarray, ...]:
     """Labels, adjacency, candidate adjacency and weights of trials first ..
-    first + count - 1 of a master seed, each stacked over the draws: what
-    _random_arrays(..., n_graphs=1) draws from trial t's
-    Generator(PCG64(trial_seed(master, t))), for shared = (n, m, density,
-    master).
-
-    Draws are decoded from their words (_decoded_arrays), read in chunks of
-    at most _COUNT_BLOCK words. A draw whose labelings repeat is drawn by
-    _random_arrays itself, and so is every draw when one draw's words exceed
-    _COUNT_BLOCK or the decoder check fails.
-    """
+    first + count - 1 of a master seed, stacked over the draws: what
+    _random_arrays(..., n_graphs=1) draws from trial t's stream
+    PCG64(trial_seed(master, t)), for shared = (n, m, density, master). The
+    drawer runs over blocks of at most _COUNT_BLOCK words (or one draw), each
+    draw as wide as one that rejects nothing; a draw whose labelings repeat
+    is drawn again from its own live stream."""
     n, m, density, master = shared
-    width = _decoded_width(n, m)
-    labels = np.empty((count, m, n), dtype=bool)
-    adj = np.empty((count, n, n), dtype=bool)
-    cand = np.empty((count, n, n), dtype=bool)
-    weights = np.empty((count, n, 2))
-    if width > _COUNT_BLOCK or not _decoding_matches():
-        redraw = np.ones(count, dtype=bool)
-    else:
-        step = _COUNT_BLOCK // width
-        read = trial_rows(master, first, count, width)
-        for r in range(0, count, step):
-            words = read(r, min(step, count - r))
-            rows = slice(r, r + len(words))
-            labels[rows], adj[rows], cand[rows], weights[rows] = _decoded_arrays(words, n, m, density)
-        redraw = _repeats_a_row(labels)
-    drawn = np.flatnonzero(redraw)
-    for j, seed in zip(drawn.tolist(), trial_seeds(master, first, count)[drawn].tolist()):
-        a = _random_arrays(np.random.Generator(np.random.PCG64(seed)), n, m, density, n_graphs=1)
-        labels[j], adj[j], cand[j], weights[j] = a.labels, a.adj, a.candidates[0], a.weights
-    return labels, adj, cand, weights
+
+    def draw(read: _WordReader) -> tuple[np.ndarray, ...]:
+        a = _random_arrays(read, n, m, density, n_graphs=1)
+        return a.labels, a.adj, a.candidates[0], a.weights
+
+    sizing = _block_words(np.empty((0, 0), dtype=np.uint64))
+    draw(sizing)  # over no streams: counts the words of a draw that rejects nothing
+    step = max(1, _COUNT_BLOCK // sizing.used)
+    read = trial_rows(master, first, count, sizing.used)
+    blocks = [draw(_block_words(read(r, min(step, count - r)))) for r in range(0, count, step)]
+    arrays = tuple(np.concatenate(parts) for parts in zip(*blocks))
+    redraw = np.flatnonzero(_repeats_a_row(arrays[0]))
+    for j, seed in zip(redraw.tolist(), trial_seeds(master, first, count)[redraw].tolist()):
+        for out, drawn in zip(arrays, draw(_stream_words(seed))):
+            out[j] = drawn[0]
+    return arrays
 
 
 def _repeats_a_row(rows: np.ndarray) -> np.ndarray:
@@ -505,19 +459,17 @@ def gen_random(
     densities vary around the true one) and graph2 is its first member. All
     draws come from a single PCG64 stream, so instances are reproducible.
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    drawn = _random_arrays(rng, n_points, n_hypotheses, density, n_graphs, coord_dim)
-    domain = FiniteDomain(n_points, drawn.coords)
-    graph = ManipulationGraph.from_adjacency(domain, drawn.adj)
-    hclass = HypothesisClass([Hypothesis(r) for r in drawn.labels], domain)
-    dist = LabeledDistribution(drawn.weights, domain)
+    drawn = _random_arrays(_stream_words(seed), n_points, n_hypotheses, density, n_graphs, coord_dim)
+    domain = FiniteDomain(n_points, None if drawn.coords is None else drawn.coords[0])
+    graph = ManipulationGraph.from_adjacency(domain, drawn.adj[0])
+    hclass = HypothesisClass([Hypothesis(r) for r in drawn.labels[0]], domain)
+    dist = LabeledDistribution(drawn.weights[0], domain)
     graph_class = None
-    graph2 = None
     if n_graphs > 0:
-        graph_class = GraphClass([ManipulationGraph.from_adjacency(domain, a) for a in drawn.candidates])
-        graph2 = graph_class[0]
+        graph_class = GraphClass([ManipulationGraph.from_adjacency(domain, a[0]) for a in drawn.candidates])
     return Scenario(
-        domain, graph, hclass, dist, graph2=graph2, graph_class=graph_class,
+        domain, graph, hclass, dist, graph_class=graph_class,
+        graph2=None if graph_class is None else graph_class[0],
         provenance=(
             f"random(n={n_points},m={n_hypotheses},density={density},seed={seed},"
             f"graphs={n_graphs},dim={coord_dim})"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import generator_drawer
 from strategia import cli, graphdist, oracles, scenarios
 from strategia.config import build_scenario
 from strategia.domain import Hypothesis, LabeledDistribution
@@ -546,26 +547,28 @@ class TestThm5Blocks:
 
 
 class TestThm5Decoding:
-    """_thm5_arrays decodes each draw's instance from its generator's raw
-    words; every array must equal what _random_arrays draws from that
-    generator, and draws it cannot decode are drawn by _random_arrays."""
+    """_thm5_arrays runs the word drawer over blocks of draws; every array
+    must equal what the Generator drawer (tests/generator_drawer.py) draws
+    from that draw's generator, and a draw whose labelings repeat is drawn
+    again from its own live stream."""
 
     @staticmethod
     def _drawn(master, first, count, n_points, n_hypotheses, density=0.35):
         seeds = trial_seeds(master, _THM5_BASE + first, count).tolist()
         return [
-            _random_arrays(np.random.Generator(np.random.PCG64(s)), n_points, n_hypotheses,
-                           density, n_graphs=1)
+            generator_drawer.random_arrays(generator_drawer.generator(s), n_points, n_hypotheses,
+                                           density, n_graphs=1)
             for s in seeds
         ]
 
     def _check(self, monkeypatch, master, first, count, n_points, n_hypotheses, density=0.35):
-        """Compare every array; return how many draws _random_arrays drew."""
+        """Compare every array; return how many draws were drawn again."""
         redrawn = []
 
-        def spy(rng, *args, **kwargs):
-            redrawn.append(args)
-            return _random_arrays(rng, *args, **kwargs)
+        def spy(read, *args, **kwargs):
+            if read.live:
+                redrawn.append(args)
+            return _random_arrays(read, *args, **kwargs)
 
         monkeypatch.setattr(scenarios, "_random_arrays", spy)
         shared = (n_points, n_hypotheses, density, master)
@@ -592,10 +595,10 @@ class TestThm5Decoding:
     def test_densities_at_the_candidate_bounds(self, monkeypatch, density):
         self._check(monkeypatch, 43, 0, 40, 5, 4, density)
 
-    @pytest.mark.parametrize("block, redrawn", [(300, 0), (148, 7)])
+    @pytest.mark.parametrize("block, redrawn", [(300, 0), (148, 0)])
     def test_chunks_and_draws_longer_than_a_block(self, monkeypatch, block, redrawn):
         """A draw of 8 x 1 takes 149 words: chunks of 2 draws, which do not
-        divide 7, and none that fit, where every draw is redrawn."""
+        divide 7, and chunks of one draw when none fit."""
         monkeypatch.setattr(scenarios, "_COUNT_BLOCK", block)
         assert self._check(monkeypatch, 47, 3, 7, 8, 1) == redrawn
 
@@ -615,46 +618,6 @@ class TestThm5Decoding:
         rows[::3, 4] = rows[::3, 1]
         want = [len({r.tobytes() for r in matrix}) < 5 for matrix in rows]
         assert scenarios._repeats_a_row(rows).tolist() == want
-
-
-def _flip_one_coin(coin_flips):
-    def flipped(words, count):
-        out = coin_flips(words, count)
-        out[:, 0] ^= True
-        return out
-
-    return flipped
-
-
-def _flip_one_uniform_bit(word_uniforms):
-    return lambda words: (word_uniforms(words).view(np.uint64) ^ np.uint64(1)).view(np.float64)
-
-
-class TestDecodingFallback:
-    """A thm5 decoder that no longer matches numpy's Generator fails the
-    decoder check, and every draw is then drawn by _random_arrays: the CSV
-    bytes stay those of numpy's Generator."""
-
-    @pytest.mark.parametrize("name, flip", [
-        ("_coin_flips", _flip_one_coin), ("_word_uniforms", _flip_one_uniform_bit),
-    ])
-    def test_drifted_decoder_falls_back_to_random_arrays(self, monkeypatch, name, flip):
-        monkeypatch.setattr(scenarios, name, flip(getattr(scenarios, name)))
-        monkeypatch.setattr(scenarios, "_decoding_ok", None)
-        assert scenarios._decoding_matches() is False
-        calls = []
-
-        def spy(rng, *args, **kwargs):
-            calls.append(args)
-            return _random_arrays(rng, *args, **kwargs)
-
-        monkeypatch.setattr(scenarios, "_random_arrays", spy)
-        for golden in ("thm5/600-draws", "thm5/repeated-labels"):
-            kw, digest = GOLDEN_CSV_SHA256[golden]
-            calls.clear()
-            csv = run_experiment("thm5", **kw).table.to_csv_text()
-            assert len(calls) == kw["params"]["draws"]
-            assert hashlib.sha256(csv.encode()).hexdigest() == digest, golden
 
 
 class TestBenchmarkScaleDigests:

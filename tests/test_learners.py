@@ -38,6 +38,7 @@ from strategia.learners import singleton_decisions
 from strategia.rng import (
     _COUNT_BLOCK,
     _GUIDE_BUCKETS,
+    _below,
     _guide_table,
     _pcg64_state,
     _pcg64_states,
@@ -144,16 +145,13 @@ class TestBulkTrialGenerators:
         assert np.array_equal(got, raw_words(trial_seeds(5, 0, 20), 3))
 
     def test_check_is_lazy(self):
-        """Importing the CLI runs neither check nor builds the lane
-        constants; each check runs at the first use of what it guards."""
+        """Importing the CLI neither runs the check nor builds the lane
+        constants; the check runs at the first use of what it guards."""
         code = (
-            "import strategia.cli, strategia.rng as r, strategia.scenarios as s\n"
+            "import strategia.cli, strategia.rng as r\n"
             "assert r._bulk_seeding_ok is None and r._lane_steps is None\n"
-            "assert s._decoding_ok is None\n"
             "r.trial_rows(0, 0, 1, 1)\n"
-            "assert r._bulk_seeding_ok is True and s._decoding_ok is None\n"
-            "s._thm5_arrays((3, 2, 0.5, 0), 0, 1)\n"
-            "assert s._decoding_ok is True\n"
+            "assert r._bulk_seeding_ok is True\n"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
 
@@ -218,6 +216,33 @@ class TestTrialWords:
         for j, density in enumerate(np.linspace(0.0, 1.0, 1000).tolist()):
             low, high = max(0.05, density - 0.2), min(0.95, density + 0.2)
             assert _uniform_between(words[1000 + j], low, high) == rng.uniform(low, high)
+
+    @pytest.mark.parametrize("p", [
+        0.0, 2.0**-60, 5e-324, 2.0**-53, 3 * 2.0**-54, 0.01, 0.05, 0.3, 0.5, 0.95,
+        1 - 2.0**-53, 1.0, 1.5, -0.25, math.nan, math.inf, -math.inf,
+    ])
+    def test_below_equals_uniforms_below(self, p):
+        """_below compares words with ceil(p * 2**53) << 11; around that
+        limit T it must give _word_uniforms(w) < p, also for a row of
+        densities, one per stream."""
+        limit = min(max(math.ceil(p * 2**53), 0), 2**53) << 11 if math.isfinite(p) else 0
+        edges = [t for t in (limit - 2049, limit - 2048, limit - 1, limit, limit + 1, limit + 2047)
+                 if 0 <= t < 2**64]
+        words = np.array([edges + [0, 2**63, 2**64 - 1]], dtype=np.uint64)
+        words = np.concatenate((words, np.random.PCG64(1).random_raw((1, 1000))), axis=1)
+        assert np.array_equal(_below(words, p), _word_uniforms(words) < p)
+        rows = np.repeat(words, 3, axis=0)
+        ps = np.array([[p], [0.5], [1.0]])
+        assert np.array_equal(_below(rows, ps), _word_uniforms(rows) < ps)
+
+    def test_below_on_many_densities(self):
+        """2000 densities spread over [0, 1], each at its own limit's edges."""
+        ps = np.concatenate((np.linspace(0.0, 1.0, 2000), [2.0**-60, 1 - 2.0**-53]))
+        limits = [min(math.ceil(p * 2**53), 2**53) << 11 for p in ps.tolist()]
+        for p, limit in zip(ps.tolist(), limits):
+            edges = [t for t in (limit - 2048, limit - 1, limit, limit + 1, limit + 2047) if 0 <= t < 2**64]
+            words = np.array([edges], dtype=np.uint64)
+            assert np.array_equal(_below(words, p), _word_uniforms(words) < p), p
 
 
 class TestDrawSample:

@@ -1,15 +1,21 @@
 """Tests for the canonical and random instance generators."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import generator_drawer
+from generator_drawer import assert_same_position, generator
 from strategia.domain import constant_class
 from strategia.errors import InvalidDistributionError
 from strategia.losses import LossKind, class_loss_table, expected_loss
+from strategia.rng import _block_words, _stream_words
 from strategia.scenarios import (
     _distinct_random_labels,
+    _random_arrays,
     gen_component_case,
     gen_example1,
     gen_example2,
@@ -270,50 +276,113 @@ def _labels_row_by_row(rng, n, m, exclude_zero=False):
     return rows
 
 
-def _pcg(seed):
-    return np.random.Generator(np.random.PCG64(seed))
-
-
 class TestDistinctRandomLabels:
-    """One (m, n) draw topped up row by row takes the same values from the
-    stream as one draw per row, and leaves the generator in the same state
-    (the half-used 64-bit output included)."""
+    """The word reader's one read of m x n flips, topped up row by row,
+    takes the same values as one Generator draw per row, and leaves the
+    stream at the same place (a waiting high half included)."""
 
     @pytest.mark.parametrize("exclude_zero", [False, True])
     @pytest.mark.parametrize("n,m", [(1, 1), (3, 5), (3, 7), (7, 6), (8, 6), (1001, 3)])
     def test_matches_row_by_row_draws(self, n, m, exclude_zero):
         for seed in range(2000):
-            a, b = _pcg(seed), _pcg(seed)
-            got = _distinct_random_labels(a, n, m, exclude_zero)
+            read, b = _stream_words(seed), generator(seed)
+            got = _distinct_random_labels(read, n, m, exclude_zero)
             want = _labels_row_by_row(b, n, m, exclude_zero)
-            assert got.dtype == bool and got.shape == (m, n)
-            assert got.tolist() == [r.tolist() for r in want], seed
-            assert a.bit_generator.state == b.bit_generator.state, seed
+            assert got.dtype == bool and got.shape == (1, m, n)
+            assert got[0].tolist() == [r.tolist() for r in want], seed
+            assert_same_position(read, b)
 
     def test_many_duplicates(self):
         """Eight rows over three points: every labeling, after many repeats."""
         topped_up = 0
         for seed in range(2000):
-            a, b = _pcg(seed), _pcg(seed)
-            got = _distinct_random_labels(a, 3, 8)
+            read, b = _stream_words(seed), generator(seed)
+            got = _distinct_random_labels(read, 3, 8)[0]
             assert got.tolist() == [r.tolist() for r in _labels_row_by_row(b, 3, 8)]
-            assert a.bit_generator.state == b.bit_generator.state
             assert len({r.tobytes() for r in got}) == 8
-            first_rows_only = _pcg(seed)
-            first_rows_only.integers(0, 2, (8, 3))
-            topped_up += a.bit_generator.state != first_rows_only.bit_generator.state
+            topped_up += read.used > 8 * 3 // 2
+            assert_same_position(read, b)
         assert topped_up > 1000
 
     @pytest.mark.parametrize("n,m", [(1, 2), (2, 4)])
     def test_unsatisfiable_raises_after_1000_m_attempts(self, n, m):
         """Without the zero row, n points have only 2**n - 1 labelings."""
-        a, b = _pcg(5), _pcg(5)
+        read, b = _stream_words(5), generator(5)
         message = f"^could not draw {m} distinct labelings over {n} points$"
         with pytest.raises(ValueError, match=message):
-            _distinct_random_labels(a, n, m, exclude_zero=True)
+            _distinct_random_labels(read, n, m, exclude_zero=True)
         with pytest.raises(ValueError, match=message):
             _labels_row_by_row(b, n, m, exclude_zero=True)
-        assert a.bit_generator.state == b.bit_generator.state
-        c = _pcg(5)
+        assert read.used == (1000 * m * n + 1) // 2
+        c = generator(5)
         c.integers(0, 2, (1000 * m, n))
-        assert a.bit_generator.state == c.bit_generator.state
+        assert b.bit_generator.state == c.bit_generator.state
+        assert_same_position(read, b)
+
+    def test_block_reader_keeps_the_first_rows(self):
+        """Over a block of streams, the first m rows of each stream are kept,
+        repeats included."""
+        rows = np.stack([np.random.PCG64(s).random_raw(8) for s in range(30)])
+        got = _distinct_random_labels(_block_words(rows), 3, 5)
+        for s, labels in enumerate(got):
+            assert labels.tolist() == generator(s).integers(0, 2, (5, 3)).astype(bool).tolist()
+
+
+class TestWordDrawer:
+    """_random_arrays over a live word reader gives every array the Generator
+    drawer (tests/generator_drawer.py) draws from the same seed, raises what
+    it raises, and leaves the stream where it leaves its generator."""
+
+    @staticmethod
+    def _check(seed, *case):
+        read, rng = _stream_words(seed), generator(seed)
+        try:
+            want = generator_drawer.random_arrays(rng, *case)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+                _random_arrays(read, *case)
+            assert_same_position(read, rng)
+            return str(e)
+        got = _random_arrays(read, *case)
+        assert (got.coords is None) == (want.coords is None)
+        names = ("adj", "labels", "weights") + (() if want.coords is None else ("coords",))
+        for name in names:
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.shape == (1,) + w.shape
+            assert np.array_equal(g[0], w), (name, seed)
+        assert len(got.candidates) == len(want.candidates)
+        for g, w in zip(got.candidates, want.candidates):
+            assert np.array_equal(g[0], w), seed
+        assert_same_position(read, rng)
+        return None
+
+    @pytest.mark.parametrize("case", [
+        (3, 5, 0.35, 1, 0), (3, 7, 0.5, 3, 2), (3, 8, 0.35, 1, 0), (5, 3, 0.0, 4, 1),
+        (8, 6, 0.35, 1, 0), (12, 200, 0.3, 3, 0), (1, 1, 0.0, 0, 0), (1, 2, 1.0, 0, 0),
+        (7, 9, 1.0, 2, 3), (3, 2, 0.0, 20, 0), (3, 9, 0.3, 0, 0),
+    ])
+    def test_equal_to_generator_drawer(self, case):
+        """300 seeds each: odd m x n, relabeling and candidate retries,
+        densities 0 and 1, and more hypotheses than dichotomies."""
+        for seed in range(300):
+            self._check(seed, *case)
+
+    @pytest.mark.parametrize("case", [(1, 2, 0.5, 2, 0), (2, 2, 0.5, 5, 0)])
+    def test_candidate_exhaustion(self, case):
+        """One point has one graph and two points four: the drawer gives up
+        after 1000 tries a candidate, at the same place in the stream."""
+        for seed in range(3):
+            message = self._check(seed, *case)
+            assert message.startswith(f"could not draw {case[3]} distinct candidate graphs")
+
+    @pytest.mark.parametrize("n, density", [(1000, 0.01), (130, 0.0), (130, 1.0)])
+    def test_large_instances_read_in_chunks(self, n, density):
+        """Adjacencies read in chunks of whole rows, and weights summed over
+        more than one pairwise block."""
+        self._check(n, n, 40, density, 2, 1)
+
+    @pytest.mark.parametrize("n, size, seed", [(1, 1, 0), (3, 7, 4), (6, 4, 0), (9, 40, 2), (12, 1, 8)])
+    def test_complete_case_excludes_zero(self, n, size, seed):
+        got = gen_component_case("complete", n=n, class_size=size, seed=seed).hclass
+        want = generator_drawer.distinct_labels(generator(seed), n, size, exclude_zero=True)
+        assert np.array_equal(np.stack([h.labels for h in got]), want)
