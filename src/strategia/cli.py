@@ -38,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--trials", type=int, default=None, help="trial count override")
         p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
-        p.add_argument("--workers", type=int, default=None, help="process pool size")
+        p.add_argument("--workers", type=int, default=None,
+                       help="process pool size, capped at the usable CPUs")
     return parser
 
 

@@ -4,7 +4,9 @@ Every experiment returns a ResultTable (the CSV payload) plus a list of
 CheckResults. Monte Carlo experiments map one kernel over a list of items,
 each a unit or a block of trials whose seeds derive from the master seed
 and global trial indices, and collect the results in item order, so the
-output is byte for byte identical regardless of the worker count.
+output is byte for byte identical regardless of the worker count. The
+items go to one process pool per process, started at the first call that
+needs it and reused by every later call of the same size.
 
 The canonical-instance experiments (example1, example2, obs1, thm3, thm4,
 thm5) construct their own scenarios; graph-learn and uniform-conv run on the
@@ -14,8 +16,14 @@ graphs.
 
 from __future__ import annotations
 
+import atexit
 import math
+import multiprocessing
+import multiprocessing.connection
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -104,17 +112,87 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pool_size(workers: int, cpus: int) -> int:
+    """The processes a pool of `workers` starts on `cpus` usable CPUs: more
+    processes than CPUs would only take turns, and no result depends on
+    the count."""
+    return max(1, min(workers, cpus))
+
+
+# The process's one pool and its size, forked at the first pooled call.
+# A pooled call holds the lock from choosing the pool to its last result.
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this pool process when the process that
+    started the pool dies without shutting it down, as a kill signal does,
+    so that no pool process outlives it."""
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        multiprocessing.connection.wait([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _shared_pool(size: int) -> ProcessPoolExecutor:
+    """The live pool of `size` processes, replacing one of another size."""
+    global _pool, _pool_workers
+    if _pool is not None and _pool_workers != size:
+        _close_pool()
+    if _pool is None:
+        _pool = ProcessPoolExecutor(max_workers=size, initializer=_exit_with_parent)
+        _pool_workers = size
+    return _pool
+
+
+def _close_pool() -> None:
+    """Shut the pool down and wait for its processes and threads, so that
+    no thread of it is alive when the next pool forks."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown(wait=True)
+
+
+atexit.register(_close_pool)
+
+
 def _run_seeded(kernel: Callable, shared, items: Sequence, workers: int) -> list:
     """Return kernel(shared, item) for every item, in item order.
 
     Each item carries its own seeds, so how the items are split over the
-    process pool never changes a result.
+    process pool never changes a result. The pool has `workers` processes,
+    at most one per usable CPU, and outlives the call: later calls of the
+    same size reuse it, and interpreter exit shuts it down. Its processes
+    never see later changes to this process's module state, so a kernel
+    reads everything it needs from its pickled arguments. A pool whose
+    process died raises BrokenProcessPool and is dropped, so the next call
+    starts a new one.
     """
-    if workers <= 1 or len(items) <= 1:
+    size = _pool_size(workers, _usable_cpus())
+    if size <= 1 or len(items) <= 1:
         return [kernel(shared, item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        chunk = max(1, math.ceil(len(items) / (4 * workers)))
-        return list(ex.map(partial(kernel, shared), items, chunksize=chunk))
+    chunk = max(1, math.ceil(len(items) / (4 * size)))
+    with _pool_lock:
+        pool = _shared_pool(size)
+        try:
+            return list(pool.map(partial(kernel, shared), items, chunksize=chunk))
+        except BrokenProcessPool:
+            _close_pool()
+            raise
 
 
 # A block, one item of the process pool, holds at most _BLOCK_TRIALS trials

@@ -3,7 +3,17 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import operator
+import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -11,16 +21,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import generator_drawer
-from strategia import cli, graphdist, oracles, scenarios
+from strategia import cli, experiments, graphdist, oracles, scenarios
 from strategia.config import build_scenario
 from strategia.domain import Hypothesis, LabeledDistribution
 from strategia.errors import BoundViolationError, ConfigError, RealizabilityError
 from strategia.experiments import (
     _THM5_BASE,
     _UC_BASE,
+    _pool_size,
     _run_seeded,
     _thm3_block,
     _trial_blocks,
+    _usable_cpus,
     available_experiments,
     describe_hypothesis,
     eval_table,
@@ -453,6 +465,163 @@ class TestTrialBlocks:
         items = [(0, *block) for block in _trial_blocks(0, 300, n)]
         with pytest.raises(RealizabilityError, match=f"^{re.escape(first_broken[1])}$"):
             _run_seeded(_thm3_block, shared, items, workers)
+        # a kernel's exception leaves the pool usable: the next call reuses it
+        pool = experiments._pool
+        assert _run_seeded(operator.add, 10, list(range(6)), workers) == list(range(10, 16))
+        assert experiments._pool is pool
+
+
+def _exit_in_child(shared, item):
+    os._exit(1)
+
+
+class TestSharedPool:
+    """_run_seeded keeps one process pool per process, of at most one
+    process per usable CPU, reused by every call of its size and shut down
+    at interpreter exit."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sets the usable CPU count whatever the host; no pool is live
+        before or after the test."""
+        experiments._close_pool()
+        yield lambda n: monkeypatch.setattr(experiments, "_usable_cpus", lambda: n)
+        experiments._close_pool()
+
+    def test_pool_size_is_capped_at_the_usable_cpus(self):
+        assert _pool_size(100_000, 2) == 2
+        assert _pool_size(8, 2) == _pool_size(2, 2) == 2
+        assert _pool_size(2, 8) == 2
+        assert _pool_size(1, 8) == 1
+        assert _pool_size(3, 1) == 1
+
+    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert _usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert _usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cpus() == 1
+
+    def test_one_pool_serves_every_experiment_at_every_worker_count(self, cpus, monkeypatch):
+        """thm3, thm4, thm5 and uniform-conv at 2, 1, 8 and 2 workers in one
+        process on 2 CPUs: every CSV equals the 1-worker bytes, and the one
+        pool of 2 processes maps every pooled call."""
+        cpus(2)
+        started, maps = [], []
+
+        class Counting(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+            def map(self, *args, **kwargs):
+                maps.append(1)
+                return super().map(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Counting)
+        runs = {
+            "thm3": dict(params={"eps_values": [0.3, 0.1], "d": 2}, trials=300, seed=7),
+            "thm4": dict(params={"instances": 3, "n_points": 6, "n_hypotheses": 4,
+                                 "n_grid": [10, 40], "trials": 20}, seed=5),
+            "thm5": dict(params={"draws": 300, "n_points": 5, "n_hypotheses": 4}, seed=17),
+            "uniform-conv": dict(params={"n_grid": [20, 80], "trials": 20}, seed=9),
+        }
+        want = {name: run_experiment(name, workers=1, **kw).table.to_csv_text()
+                for name, kw in runs.items()}
+        for workers in (2, 1, 8, 2):
+            for name, kw in runs.items():
+                assert run_experiment(name, workers=workers, **kw).table.to_csv_text() == want[name]
+        assert started == [2]
+        assert len(maps) == 3 * len(runs)
+
+    def test_a_new_size_replaces_the_pool(self, cpus):
+        cpus(3)
+        sizes = []
+        for workers in (2, 2, 3, 3):
+            assert _run_seeded(operator.add, 1, list(range(7)), workers) == list(range(1, 8))
+            sizes.append((experiments._pool, experiments._pool_workers))
+        assert sizes[0] == sizes[1] and sizes[2] == sizes[3] and sizes[1] != sizes[2]
+        assert [size for _, size in sizes] == [2, 2, 3, 3]
+        with pytest.raises(RuntimeError, match="shutdown"):
+            sizes[0][0].submit(operator.add, 1, 2)
+
+    def test_threads_share_the_pool_safely(self, cpus):
+        """Six threads map calls of 2 and 3 processes at once, so the pool
+        is replaced under them: every call returns its own results, and
+        closing the last pool leaves no pool process behind."""
+        cpus(3)
+        results, errors = [], []
+
+        def calls(t):
+            try:
+                for k in range(8):
+                    items = list(range(t, t + 9))
+                    got = _run_seeded(operator.add, k, items, 2 + (t + k) % 2)
+                    results.append(got == [k + i for i in items])
+            except Exception as e:  # reported by the assertion below
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=calls, args=(t,)) for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and results == [True] * 48
+        experiments._close_pool()
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_process_breaks_only_its_own_call(self, cpus):
+        """The dead pool's error reaches the caller; the pool is dropped and
+        the next call starts a new one."""
+        cpus(2)
+        with pytest.raises(BrokenProcessPool):
+            _run_seeded(_exit_in_child, None, [0, 1, 2, 3], 2)
+        assert experiments._pool is None
+        assert _run_seeded(operator.add, 10, list(range(6)), 2) == list(range(10, 16))
+
+    @pytest.mark.parametrize("ending", ["exit", "kill"])
+    def test_pool_processes_end_with_the_interpreter(self, ending):
+        """The pool is shut down at interpreter exit, and its processes also
+        end when their parent is killed and never reaches it."""
+        code = (
+            "import multiprocessing, os, signal\n"
+            "from strategia import experiments\n"
+            "experiments._usable_cpus = lambda: 2\n"
+            "experiments.run_experiment('thm3', params={'eps_values': [0.3, 0.1]}, trials=300,\n"
+            "                           seed=1, workers=2)\n"
+            "print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
+            + ("os.kill(os.getpid(), signal.SIGKILL)\n" if ending == "kill" else "")
+        )
+        # the output ends when the last process holding it does
+        ran = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60)
+        assert ran.returncode == (-signal.SIGKILL if ending == "kill" else 0), ran.stderr
+        pids = [int(pid) for pid in ran.stdout.split()]
+        assert len(pids) == 2
+
+        def running(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            try:  # a zombie has ended: only its exit status is left
+                with open(f"/proc/{pid}/stat") as stat:
+                    return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return not os.path.isdir("/proc")
+
+        deadline = time.monotonic() + 10
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids))
 
 
 class TestThm5Blocks:

@@ -1,6 +1,8 @@
 """Tests of the package's public surface: the README tour and ``__all__``."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import strategia
@@ -21,3 +23,17 @@ def test_readme_tour_runs_and_public_names_resolve():
     assert len(set(names)) == len(names)
     missing = [name for name in names if not hasattr(strategia, name)]
     assert missing == []
+
+
+def test_import_starts_no_process_or_thread():
+    """The Monte Carlo process pool starts at the first pooled call, never
+    at import."""
+    code = (
+        "import multiprocessing, threading\n"
+        "import strategia, strategia.cli\n"
+        "from strategia import experiments\n"
+        "assert experiments._pool is None\n"
+        "assert multiprocessing.active_children() == []\n"
+        "assert threading.active_count() == 1\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
